@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   bench::add_telemetry_flags(cli, opts);
   cli.add_double("g", &g, "statically reserved BUs per cell");
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Figure 7 — static reservation, G = " +
                       core::TablePrinter::fixed(g, 0) + " BU");

@@ -10,8 +10,8 @@
 // chained snapshots). All three trajectory digests must match bitwise.
 // The whole batch is then re-run across the thread pool (--threads N)
 // and every digest must match the sequential batch byte for byte. Every
-// run carries the per-event invariant audit (PABR_AUDIT builds honor
-// --audit-every; every build gets the explicit end-of-run sweep).
+// run carries the per-event invariant audit (--audit-every) and an
+// explicit end-of-run sweep.
 //
 // --resume-from FILE switches to a one-shot branch mode instead: the
 // snapshot is loaded (linear or hex, auto-detected), run for
@@ -305,10 +305,10 @@ int main(int argc, char** argv) {
   cli.add_uint64("base-seed", &base_seed, "first scenario seed");
   cli.add_int("audit-every", &audit_every,
               "run the invariant sweep every Nth event (0 = end-of-run "
-              "checkpoint only; needs a PABR_AUDIT build to matter)");
+              "checkpoint only)");
   cli.add_bool("faults", &faults,
                "draw a random fault schedule per seed (link/station "
-               "outages, message loss) — needs a PABR_FAULT build");
+               "outages, message loss)");
   double checkpoint_every = 0.0;
   std::string resume_from;
   double resume_for = 0.0;
@@ -356,11 +356,6 @@ int main(int argc, char** argv) {
     gopt.repro_dir = repro_dir;
     gopt.bug.resumed_off_by_one = inject_bug;
     return guided ? guided_mode(gopt) : blind_genome_mode(gopt);
-  }
-  if (faults && !buildinfo::fault_enabled()) {
-    std::cout << "warning: --faults requested but fault-injection hooks were "
-                 "compiled out (PABR_FAULT=OFF); schedules are generated but "
-                 "inert\n";
   }
   if (opts.full) seeds = std::max(seeds, 500);
   if (opts.threads <= 0) opts.threads = sim::hardware_threads();

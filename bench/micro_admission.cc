@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   bench::add_telemetry_flags(cli, opts);
   cli.add_double("load", &load, "offered load per cell");
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Micro — admission cost, incremental vs scratch "
                       "(L = " + core::TablePrinter::fixed(load, 0) +

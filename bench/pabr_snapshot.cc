@@ -15,6 +15,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "snapshot/format.h"
 #include "util/cli.h"
@@ -22,20 +23,8 @@
 namespace {
 
 using pabr::snapshot::FormatError;
+using pabr::snapshot::kind_name;
 using pabr::snapshot::Reader;
-using pabr::snapshot::SystemKind;
-
-const char* kind_name(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kLinear:
-      return "linear";
-    case SystemKind::kHex:
-      return "hex";
-    case SystemKind::kSharded:
-      return "sharded";
-  }
-  return "unknown";
-}
 
 std::optional<Reader> read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -75,64 +64,14 @@ void print_inspect(const std::string& path, const Reader& r) {
 
 int diff(const std::string& path_a, const Reader& a, const std::string& path_b,
          const Reader& b) {
-  int differences = 0;
-  const auto& ha = a.header();
-  const auto& hb = b.header();
-  const auto field = [&](const char* name, const std::string& va,
-                         const std::string& vb) {
-    if (va != vb) {
-      std::printf("header %-14s %s != %s\n", name, va.c_str(), vb.c_str());
-      ++differences;
-    }
-  };
-  char buf[64];
-  const auto hex = [&buf](std::uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  const auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  field("kind", kind_name(ha.kind), kind_name(hb.kind));
-  field("config_digest", hex(ha.config_digest), hex(hb.config_digest));
-  field("sim_time", num(ha.sim_time), num(hb.sim_time));
-  field("run_seed", std::to_string(ha.run_seed), std::to_string(hb.run_seed));
-
-  // Section-by-section in A's order, then B-only extras.
-  for (const auto& sa : a.sections()) {
-    if (!b.has_section(sa.name)) {
-      std::printf("section %-14s only in %s\n", sa.name.c_str(),
-                  path_a.c_str());
-      ++differences;
-      continue;
-    }
-    for (const auto& sb : b.sections()) {
-      if (sb.name != sa.name) continue;
-      if (sa.payload.size() != sb.payload.size() ||
-          sa.checksum != sb.checksum) {
-        std::printf("section %-14s %zu bytes / %s != %zu bytes / %s\n",
-                    sa.name.c_str(), sa.payload.size(), hex(sa.checksum).c_str(),
-                    sb.payload.size(), hex(sb.checksum).c_str());
-        ++differences;
-      }
-      break;
-    }
-  }
-  for (const auto& sb : b.sections()) {
-    if (!a.has_section(sb.name)) {
-      std::printf("section %-14s only in %s\n", sb.name.c_str(),
-                  path_b.c_str());
-      ++differences;
-    }
-  }
-
-  if (differences == 0) {
+  const std::vector<std::string> lines =
+      pabr::snapshot::differences(a, b, path_a, path_b);
+  if (lines.empty()) {
     std::printf("identical: %s == %s\n", path_a.c_str(), path_b.c_str());
     return 0;
   }
-  std::printf("%d difference(s)\n", differences);
+  for (const std::string& line : lines) std::printf("%s\n", line.c_str());
+  std::printf("%zu difference(s)\n", lines.size());
   return 1;
 }
 

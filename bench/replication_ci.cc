@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
                  "the replication table");
   if (!cli.parse(argc, argv)) return 1;
   if (opts.full) seeds = std::max(seeds, 10);
-  bench::warn_if_telemetry_unavailable(opts);
 
   if (!resume_from.empty()) {
     core::RunPlan plan = opts.plan();

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
                  "point with --rows/--cols/--shards; the file is "
                  "digest-checked against the point's config)");
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
   if (!resume_from.empty() &&
       (rows_override <= 0 || cols_override <= 0 || only_shards <= 0)) {
     std::cerr << "scale_sweep: --resume-from needs --rows, --cols and "

@@ -7,7 +7,7 @@
 #
 # Usage: scripts/fuzz_smoke.sh [--faults] [build-dir] [seeds]
 #   --faults   additionally draw a random fault schedule per seed
-#              (link/station outages, message loss; PABR_FAULT builds)
+#              (link/station outages, message loss)
 #   build-dir  existing configured build tree (default: build)
 #   seeds      number of scenario seeds      (default: 200)
 set -euo pipefail

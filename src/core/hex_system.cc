@@ -1,9 +1,5 @@
 #include "core/hex_system.h"
 
-#include <algorithm>
-#include <chrono>
-
-#include "reservation/reservation.h"
 #include "util/check.h"
 
 namespace pabr::core {
@@ -20,12 +16,9 @@ HexCellularSystem::HexCellularSystem(HexSystemConfig config)
       rng_factory_(config_.seed),
       grid_(config_.rows, config_.cols, config_.wrap),
       motion_(grid_, config_.motion),
-      accountant_(grid_, nullptr),
-      policy_(admission::make_policy(config_.policy, config_.static_g,
-                                     &config_.ns)),
+      plane_(hex_plane_params(config_, grid_, 0, grid_.num_cells())),
       arrival_rng_(rng_factory_.make("hex-arrivals")),
       movement_rng_(rng_factory_.make("hex-movement")) {
-  PABR_CHECK(config_.capacity_bu > 0.0, "non-positive capacity");
   PABR_CHECK(config_.arrival_rate_per_cell >= 0.0, "negative arrival rate");
   PABR_CHECK(
       config_.voice_ratio >= 0.0 && config_.voice_ratio <= 1.0,
@@ -33,50 +26,27 @@ HexCellularSystem::HexCellularSystem(HexSystemConfig config)
   PABR_CHECK(config_.speed_min_kmh > 0.0 &&
                  config_.speed_max_kmh >= config_.speed_min_kmh,
              "bad speed range");
-
-  reservation::TestWindowConfig twc;
-  twc.phd_target = config_.phd_target;
-  twc.t_start = config_.t_start;
-
-  const int n = grid_.num_cells();
-  cells_.reserve(static_cast<std::size_t>(n));
-  stations_.reserve(static_cast<std::size_t>(n));
-  metrics_.resize(static_cast<std::size_t>(n));
-  for (geom::CellId c = 0; c < n; ++c) {
-    cells_.emplace_back(c, config_.capacity_bu);
-    stations_.emplace_back(c, config_.hoef, twc);
-    metrics_[static_cast<std::size_t>(c)].br_mean.update(0.0, 0.0);
-    metrics_[static_cast<std::size_t>(c)].bu_mean.update(0.0, 0.0);
-  }
-
-#ifdef PABR_FAULT_ENABLED
-  if (config_.fault.enabled) {
-    fault_ = std::make_unique<fault::FaultInjector>(config_.fault);
-  }
-#endif
-
-  telemetry_.configure(config_.telemetry);
-  if (telemetry_.enabled()) {
-    tel_ = telemetry::make_sim_counters(telemetry_.registry(),
-                                        config_.capacity_bu);
-    reservation_engine_.bind_telemetry(tel_.terms_recomputed,
-                                       tel_.terms_reused);
-    accountant_.bind_telemetry(tel_.br_calculations);
-    policy_->bind_telemetry(telemetry_.registry());
-    for (auto& station : stations_) {
-      station.estimator().bind_telemetry(tel_.quads_recorded,
-                                         tel_.quads_evicted);
-    }
-    if (faults_on()) {
-      // Registered only under fault injection so fault-free snapshots
-      // keep their exact historical key set.
-      fault_tel_ = telemetry::make_fault_counters(telemetry_.registry());
-      accountant_.bind_fault_telemetry(fault_tel_.retries,
-                                       fault_tel_.timeouts);
-    }
-  }
-
   schedule_next_arrival();
+}
+
+CellPlane::Params hex_plane_params(const HexSystemConfig& config,
+                                   const geom::Topology& grid,
+                                   geom::CellId first, geom::CellId end) {
+  CellPlane::Params p;
+  p.topology = &grid;
+  p.first = first;
+  p.end = end;
+  p.capacity_bu = config.capacity_bu;
+  p.policy = config.policy;
+  p.static_g = config.static_g;
+  p.ns = &config.ns;
+  p.window.phd_target = config.phd_target;
+  p.window.t_start = config.t_start;
+  p.hoef = config.hoef;
+  p.incremental_reservation = config.incremental_reservation;
+  p.telemetry = config.telemetry;
+  p.fault = config.fault;
+  return p;
 }
 
 void HexCellularSystem::check_cell_id(geom::CellId cell) const {
@@ -93,35 +63,18 @@ void HexCellularSystem::run_until(sim::Time t) {
   simulator_.run_until(t);
 }
 
-void HexCellularSystem::reset_metrics() {
-  const sim::Time t = simulator_.now();
-  for (geom::CellId c = 0; c < grid_.num_cells(); ++c) {
-    auto& m = metrics_[static_cast<std::size_t>(c)];
-    m.pcb.reset();
-    m.phd.reset();
-    m.br_mean.reset(t);
-    m.br_mean.update(
-        t, stations_[static_cast<std::size_t>(c)].current_reservation());
-    m.bu_mean.reset(t);
-    m.bu_mean.update(t, cells_[static_cast<std::size_t>(c)].used());
-  }
-  accountant_.reset();
-  if (telemetry_.enabled()) {
-    telemetry_.registry().reset();
-    telemetry_.buffer().clear();
-  }
-}
+void HexCellularSystem::reset_metrics() { plane_.reset(simulator_.now()); }
 
 // ---- AdmissionContext -------------------------------------------------------
 
 double HexCellularSystem::capacity(geom::CellId cell) const {
   check_cell_id(cell);
-  return cells_[static_cast<std::size_t>(cell)].capacity();
+  return plane_.cell(cell).capacity();
 }
 
 double HexCellularSystem::used_bandwidth(geom::CellId cell) const {
   check_cell_id(cell);
-  return cells_[static_cast<std::size_t>(cell)].used();
+  return plane_.cell(cell).used();
 }
 
 const std::vector<geom::CellId>& HexCellularSystem::adjacent(
@@ -131,129 +84,17 @@ const std::vector<geom::CellId>& HexCellularSystem::adjacent(
 
 double HexCellularSystem::recompute_reservation(geom::CellId cell) {
   check_cell_id(cell);
-  const sim::Time t = simulator_.now();
-  const sim::Duration t_est =
-      stations_[static_cast<std::size_t>(cell)].window().t_est();
-
-  double br = 0.0;
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    // Degraded mode — see CellularSystem::recompute_reservation. The hex
-    // accountant carries no interconnect, so exchange() only decides
-    // reachability and bumps retry/timeout telemetry.
-    accountant_.count_br_calculation();
-    for (geom::CellId i : grid_.neighbors(cell)) {
-      const bool reachable = accountant_.exchange(
-          cell, i, t, *fault_, backhaul::MessageType::kBandwidthQuery);
-      if (!reachable) {
-        br += config_.fault.degraded_floor_bu;
-        if (config_.incremental_reservation) {
-          reservation_engine_.mark_stale(i, cell);
-        }
-        telemetry::bump(fault_tel_.floor_substitutions);
-        continue;
-      }
-      if (config_.incremental_reservation) {
-        const bool healing = reservation_engine_.is_stale(i, cell);
-        const double before = br;
-        br = reservation_engine_.accumulate(
-            i, cell, cells_[static_cast<std::size_t>(i)].connections(),
-            stations_[static_cast<std::size_t>(i)].estimator(), t, t_est,
-            br);
-        if (healing) {
-          PABR_CHECK(br == rescan_contribution(i, cell, t, t_est, before),
-                     "post-heal pair re-sync diverged from scratch rescan");
-          telemetry::bump(fault_tel_.pair_resyncs);
-        }
-      } else {
-        br = rescan_contribution(i, cell, t, t_est, br);
-      }
-    }
-  } else {
-#else
-  {
-#endif
-    accountant_.record_br_calculation(cell);
-    if (config_.incremental_reservation) {
-      for (geom::CellId i : grid_.neighbors(cell)) {
-        br = reservation_engine_.accumulate(
-            i, cell, cells_[static_cast<std::size_t>(i)].connections(),
-            stations_[static_cast<std::size_t>(i)].estimator(), t, t_est,
-            br);
-      }
-    } else {
-      br = reservation_rescan(cell, t, t_est);
-    }
-  }
-  stations_[static_cast<std::size_t>(cell)].set_current_reservation(br);
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.br_recomputes);
-    tel_.br_value->add(br);
-    telemetry_.emit(t, telemetry::EventKind::kBrRecompute, cell, 0, br);
-  }
-  metrics_[static_cast<std::size_t>(cell)].br_mean.update(t, br);
-  return br;
-}
-
-double HexCellularSystem::reservation_rescan(geom::CellId cell, sim::Time t,
-                                             sim::Duration t_est) const {
-  double br = 0.0;
-  for (geom::CellId i : grid_.neighbors(cell)) {
-    br = rescan_contribution(i, cell, t, t_est, br);
-  }
-  return br;
-}
-
-double HexCellularSystem::rescan_contribution(geom::CellId source,
-                                              geom::CellId target,
-                                              sim::Time t,
-                                              sim::Duration t_est,
-                                              double running) const {
-  const auto& estimator =
-      stations_[static_cast<std::size_t>(source)].estimator();
-  for (const auto& e :
-       cells_[static_cast<std::size_t>(source)].connections()) {
-    running += static_cast<double>(e.view.reserve_bandwidth) *
-               estimator.handoff_probability(t, e.view.prev_cell, target,
-                                             t - e.view.entered_cell_at,
-                                             t_est);
-  }
-  return running;
+  return plane_.recompute_reservation(cell, simulator_.now());
 }
 
 double HexCellularSystem::scratch_reservation(geom::CellId cell) {
   check_cell_id(cell);
-  const sim::Time t = simulator_.now();
-  const sim::Duration t_est =
-      stations_[static_cast<std::size_t>(cell)].window().t_est();
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    double br = 0.0;
-    for (geom::CellId i : grid_.neighbors(cell)) {
-      br = fault_->exchange_outcome(cell, i, t).delivered
-               ? rescan_contribution(i, cell, t, t_est, br)
-               : br + config_.fault.degraded_floor_bu;
-    }
-    return br;
-  }
-#endif
-  return reservation_rescan(cell, t, t_est);
+  return plane_.scratch_reservation(cell, simulator_.now());
 }
 
 bool HexCellularSystem::neighbor_reachable(geom::CellId cell,
                                            geom::CellId neighbor) {
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    const bool ok =
-        accountant_.exchange(cell, neighbor, simulator_.now(), *fault_,
-                             backhaul::MessageType::kReservationCheck);
-    if (!ok) telemetry::bump(fault_tel_.ac_local_fallbacks);
-    return ok;
-  }
-#endif
-  (void)cell;
-  (void)neighbor;
-  return true;
+  return plane_.neighbor_reachable(cell, neighbor, simulator_.now());
 }
 
 traffic::ReservationView HexCellularSystem::reservation_view(
@@ -267,7 +108,7 @@ traffic::ReservationView HexCellularSystem::reservation_view(
 
 double HexCellularSystem::current_reservation(geom::CellId cell) const {
   check_cell_id(cell);
-  return stations_[static_cast<std::size_t>(cell)].current_reservation();
+  return plane_.station(cell).current_reservation();
 }
 
 // ---- Workload ----------------------------------------------------------------
@@ -311,44 +152,11 @@ bool HexCellularSystem::handle_request(geom::CellId cell,
                                        double speed_kmh,
                                        sim::Duration lifetime_s) {
   const traffic::Bandwidth bw = traffic::bandwidth_of(service);
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on() && !fault_->station_up(cell, simulator_.now())) {
-    // The serving BS is down: blocked without an admission test, so no
-    // N_calc sample is taken (see CellularSystem::handle_arrival).
-    telemetry::bump(fault_tel_.station_blocks);
-    metrics_[static_cast<std::size_t>(cell)].pcb.trial(true);
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.blocked);
-      telemetry_.emit(simulator_.now(), telemetry::EventKind::kBlock, cell,
-                      next_id_, static_cast<double>(bw));
-    }
-    return false;
-  }
-#endif
-  bool admitted;
-  {
-    backhaul::AdmissionScope scope(accountant_);
-    if (telemetry_.time_admissions()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      admitted = policy_->admit(*this, cell, bw);
-      const auto elapsed = std::chrono::steady_clock::now() - t0;
-      tel_.admission_ns->add(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-    } else {
-      admitted = policy_->admit(*this, cell, bw);
-    }
-  }
+  const sim::Time t = simulator_.now();
   // The policies' probabilistic tests do not replace the hard FCA check.
-  admitted = admitted && cells_[static_cast<std::size_t>(cell)].can_fit(bw);
-  metrics_[static_cast<std::size_t>(cell)].pcb.trial(!admitted);
-  if (telemetry_.enabled()) {
-    telemetry::bump(admitted ? tel_.admitted : tel_.blocked);
-    telemetry_.emit(simulator_.now(),
-                    admitted ? telemetry::EventKind::kAdmit
-                             : telemetry::EventKind::kBlock,
-                    cell, next_id_, static_cast<double>(bw));
-  }
+  const bool admitted =
+      plane_.admit(*this, cell, bw, t) && plane_.cell(cell).can_fit(bw);
+  plane_.count_request(cell, t, admitted, next_id_, bw);
   if (!admitted) return false;
 
   const traffic::ConnectionId id = next_id_++;
@@ -357,12 +165,11 @@ bool HexCellularSystem::handle_request(geom::CellId cell,
   m.service = service;
   m.cell = cell;
   m.prev = cell;  // started here (the paper's prev = 0)
-  m.entered_at = simulator_.now();
+  m.entered_at = t;
   m.speed_kmh = speed_kmh;
 
-  cells_[static_cast<std::size_t>(cell)].attach(id, bw,
-                                                reservation_view(m));
-  record_bu(cell);
+  plane_.cell(cell).attach(id, bw, reservation_view(m));
+  plane_.record_bu(cell, t);
 
   const auto [it, inserted] = mobiles_.emplace(id, std::move(m));
   PABR_CHECK(inserted, "duplicate connection id");
@@ -394,40 +201,15 @@ void HexCellularSystem::handle_crossing(traffic::ConnectionId id) {
   const geom::CellId to = motion_.next_cell(m.prev, m.cell, movement_rng_);
   PABR_CHECK(grid_.adjacent(from, to), "hex motion left adjacency");
 
-  stations_[static_cast<std::size_t>(from)].estimator().record(
-      hoef::Quadruplet{t, m.prev, to, t - m.entered_at});
-  if (telemetry_.enabled()) tel_.handoff_sojourn->add(t - m.entered_at);
+  plane_.record_departure(from,
+                          hoef::Quadruplet{t, m.prev, to, t - m.entered_at});
 
-  Cell& dst = cells_[static_cast<std::size_t>(to)];
-  bool dropped = !dst.can_fit(m.bandwidth());
-#ifdef PABR_FAULT_ENABLED
-  if (!dropped && faults_on() && !fault_->station_up(to, t)) {
-    // Destination BS down: the hand-off has no one to signal to.
-    dropped = true;
-    telemetry::bump(fault_tel_.station_drops);
-  }
-#endif
-  const sim::Duration t_est_before =
-      stations_[static_cast<std::size_t>(to)].window().t_est();
-  stations_[static_cast<std::size_t>(to)].window().on_handoff(
-      dropped, t_soj_max_for(to));
-  metrics_[static_cast<std::size_t>(to)].phd.trial(dropped);
-  if (telemetry_.enabled()) {
-    const sim::Duration t_est_after =
-        stations_[static_cast<std::size_t>(to)].window().t_est();
-    if (t_est_after != t_est_before) {
-      telemetry_.emit(t, telemetry::EventKind::kTEstStep, to, 0, t_est_after);
-    }
-    telemetry::bump(dropped ? tel_.handoff_dropped : tel_.handoff_completed);
-    telemetry_.emit(t,
-                    dropped ? telemetry::EventKind::kHandoffDrop
-                            : telemetry::EventKind::kHandoff,
-                    to, id, static_cast<double>(m.bandwidth()));
-  }
+  const bool admitted =
+      plane_.hand_in(to, t, id, m.bandwidth(), plane_.t_soj_max(to, t));
 
-  cells_[static_cast<std::size_t>(from)].detach(id);
-  record_bu(from);
-  if (dropped) {
+  plane_.cell(from).detach(id);
+  plane_.record_bu(from, t);
+  if (!admitted) {
     simulator_.cancel(m.expiry);
     mobiles_.erase(it);
     return;
@@ -435,99 +217,46 @@ void HexCellularSystem::handle_crossing(traffic::ConnectionId id) {
   m.prev = from;
   m.cell = to;
   m.entered_at = t;
-  dst.attach(id, m.bandwidth(), reservation_view(m));
-  record_bu(to);
+  plane_.cell(to).attach(id, m.bandwidth(), reservation_view(m));
+  plane_.record_bu(to, t);
   schedule_crossing(m);
 }
 
 void HexCellularSystem::handle_expiry(traffic::ConnectionId id) {
   const auto it = mobiles_.find(id);
   PABR_CHECK(it != mobiles_.end(), "expiry for unknown mobile");
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.expiries);
-    telemetry_.emit(simulator_.now(), telemetry::EventKind::kExpiry,
-                    it->second.cell, id,
-                    static_cast<double>(it->second.bandwidth()));
-  }
+  plane_.tally(plane_.counters().expiries, simulator_.now(),
+               telemetry::EventKind::kExpiry, it->second.cell, id,
+               static_cast<double>(it->second.bandwidth()));
   simulator_.cancel(it->second.crossing);
-  cells_[static_cast<std::size_t>(it->second.cell)].detach(id);
-  record_bu(it->second.cell);
+  plane_.cell(it->second.cell).detach(id);
+  plane_.record_bu(it->second.cell, simulator_.now());
   mobiles_.erase(it);
-}
-
-sim::Duration HexCellularSystem::t_soj_max_for(geom::CellId cell) const {
-  sim::Duration m = 0.0;
-  for (geom::CellId i : grid_.neighbors(cell)) {
-    m = std::max(m, stations_[static_cast<std::size_t>(i)].estimator()
-                        .max_sojourn(simulator_.now()));
-  }
-  return m;
-}
-
-void HexCellularSystem::record_bu(geom::CellId cell) {
-  metrics_[static_cast<std::size_t>(cell)].bu_mean.update(
-      simulator_.now(), cells_[static_cast<std::size_t>(cell)].used());
 }
 
 // ---- Metrics ----------------------------------------------------------------
 
 const CellMetrics& HexCellularSystem::cell_metrics(geom::CellId cell) const {
   check_cell_id(cell);
-  return metrics_[static_cast<std::size_t>(cell)];
+  return plane_.metrics(cell);
 }
 
 SystemStatus HexCellularSystem::system_status() const {
-  SystemStatus s;
-  const sim::Time t = simulator_.now();
-  double br_sum = 0.0;
-  double bu_sum = 0.0;
-  const int n = grid_.num_cells();
-  for (geom::CellId c = 0; c < n; ++c) {
-    const auto idx = static_cast<std::size_t>(c);
-    s.requests += metrics_[idx].pcb.trials();
-    s.blocks += metrics_[idx].pcb.hits();
-    s.handoffs += metrics_[idx].phd.trials();
-    s.drops += metrics_[idx].phd.hits();
-    br_sum += metrics_[idx].br_mean.mean(t);
-    bu_sum += metrics_[idx].bu_mean.mean(t);
-  }
-  s.pcb = s.requests == 0 ? 0.0
-                          : static_cast<double>(s.blocks) /
-                                static_cast<double>(s.requests);
-  s.phd = s.handoffs == 0 ? 0.0
-                          : static_cast<double>(s.drops) /
-                                static_cast<double>(s.handoffs);
-  s.n_calc = accountant_.n_calc();
-  s.br_avg = br_sum / static_cast<double>(n);
-  s.bu_avg = bu_sum / static_cast<double>(n);
-  s.br_calculations = accountant_.total_br_calculations();
-  return s;
+  return plane_.status(simulator_.now());
 }
 
 telemetry::MetricsSnapshot HexCellularSystem::telemetry_snapshot() {
-  if (telemetry_.enabled()) {
-    auto& reg = telemetry_.registry();
-    reg.gauge("signaling.n_calc")->set(accountant_.n_calc());
-    reg.gauge("connections.active")
-        ->set(static_cast<double>(mobiles_.size()));
-    reg.gauge("trace.emitted")
-        ->set(static_cast<double>(telemetry_.buffer().emitted()));
-    reg.gauge("trace.rotated_out")
-        ->set(static_cast<double>(telemetry_.buffer().rotated_out()));
-    reg.gauge("trace.sampled_out")
-        ->set(static_cast<double>(telemetry_.buffer().sampled_out()));
-  }
-  return telemetry_.snapshot();
+  return plane_.telemetry_snapshot(mobiles_.size(), nullptr);
 }
 
 Cell& HexCellularSystem::cell(geom::CellId id) {
   check_cell_id(id);
-  return cells_[static_cast<std::size_t>(id)];
+  return plane_.cell(id);
 }
 
 BaseStation& HexCellularSystem::base_station(geom::CellId id) {
   check_cell_id(id);
-  return stations_[static_cast<std::size_t>(id)];
+  return plane_.station(id);
 }
 
 }  // namespace pabr::core

@@ -22,15 +22,14 @@
 
 #include "admission/ns_policy.h"
 #include "admission/policy.h"
-#include "backhaul/signaling.h"
 #include "core/base_station.h"
 #include "core/cell.h"
+#include "core/cell_plane.h"
 #include "core/metrics.h"
 #include "fault/fault.h"
 #include "geom/hex_topology.h"
 #include "hoef/estimator.h"
 #include "mobility/hex_motion.h"
-#include "reservation/engine.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -74,9 +73,9 @@ struct HexSystemConfig {
   /// (bit-identical to the from-scratch rescan; see reservation/engine.h).
   bool incremental_reservation = true;
 
-  /// Audit cadence: in builds with PABR_AUDIT on, run the full invariant
-  /// sweep (audit_invariants) after every Nth handled simulation event.
-  /// 0 disables the hook (see SystemConfig::audit_every).
+  /// Audit cadence: run the full invariant sweep (audit_invariants)
+  /// after every Nth handled simulation event. 0 disables the hook (see
+  /// SystemConfig::audit_every).
   int audit_every = 0;
 
   /// Telemetry & trace collection (see SystemConfig::telemetry).
@@ -97,6 +96,12 @@ struct HexSystemConfig {
   /// Sets the arrival rate from a target offered load.
   void set_offered_load(double load);
 };
+
+/// The control plane of the hex cells [first, end) of `grid` under
+/// `config` (the whole grid here; one slice per sharded worker).
+CellPlane::Params hex_plane_params(const HexSystemConfig& config,
+                                   const geom::Topology& grid,
+                                   geom::CellId first, geom::CellId end);
 
 class HexCellularSystem final : public admission::AdmissionContext {
  public:
@@ -126,22 +131,16 @@ class HexCellularSystem final : public admission::AdmissionContext {
 
   // ---- Fault injection (src/fault/) --------------------------------------
   /// See CellularSystem::faults_on.
-  bool faults_on() const {
-#ifdef PABR_FAULT_ENABLED
-    return fault_ != nullptr;
-#else
-    return false;
-#endif
-  }
-  fault::FaultInjector* fault_injector() { return fault_.get(); }
+  bool faults_on() const { return plane_.faults_on(); }
+  fault::FaultInjector* fault_injector() { return plane_.fault(); }
 
   // ---- Metrics --------------------------------------------------------------
   const CellMetrics& cell_metrics(geom::CellId cell) const;
   SystemStatus system_status() const;
 
   // ---- Telemetry (src/telemetry/) ----------------------------------------
-  telemetry::Collector& telemetry() { return telemetry_; }
-  const telemetry::Collector& telemetry() const { return telemetry_; }
+  telemetry::Collector& telemetry() { return plane_.telemetry(); }
+  const telemetry::Collector& telemetry() const { return plane_.telemetry(); }
   /// Snapshot with polled gauges synced (see CellularSystem).
   telemetry::MetricsSnapshot telemetry_snapshot();
 
@@ -199,31 +198,17 @@ class HexCellularSystem final : public admission::AdmissionContext {
   void schedule_crossing(HexMobile& m);
   void handle_crossing(traffic::ConnectionId id);
   void handle_expiry(traffic::ConnectionId id);
-  sim::Duration t_soj_max_for(geom::CellId cell) const;
-  void record_bu(geom::CellId cell);
   void check_cell_id(geom::CellId cell) const;
   /// The dense per-connection record the reservation hot loop reads.
   traffic::ReservationView reservation_view(const HexMobile& m) const;
-  /// Eq. (6) summed term-by-term from scratch over the dense connection
-  /// tables (shared by the scratch path and the engine-off mode).
-  double reservation_rescan(geom::CellId cell, sim::Time t,
-                            sim::Duration t_est) const;
-  /// One neighbour's Eq. (5) contribution (see
-  /// CellularSystem::rescan_contribution).
-  double rescan_contribution(geom::CellId source, geom::CellId target,
-                             sim::Time t, sim::Duration t_est,
-                             double running) const;
 
-  /// Per-event audit hook (no-op unless built with PABR_AUDIT and enabled
-  /// via config_.audit_every).
+  /// Per-event audit hook (enabled via config_.audit_every).
   void maybe_audit() {
-#ifdef PABR_AUDIT_ENABLED
     if (config_.audit_every > 0 &&
         ++events_since_audit_ >= config_.audit_every) {
       events_since_audit_ = 0;
       audit_invariants();
     }
-#endif
   }
 
   HexSystemConfig config_;
@@ -231,25 +216,16 @@ class HexCellularSystem final : public admission::AdmissionContext {
   sim::Simulator simulator_;
   geom::HexTopology grid_;
   mobility::HexMotion motion_;
-  backhaul::SignalingAccountant accountant_;
-  std::unique_ptr<admission::AdmissionPolicy> policy_;
-  reservation::IncrementalEngine reservation_engine_;
+  CellPlane plane_;
   sim::Rng arrival_rng_;
   sim::Rng movement_rng_;
 
-  std::vector<Cell> cells_;
-  std::vector<BaseStation> stations_;
-  std::vector<CellMetrics> metrics_;
   std::unordered_map<traffic::ConnectionId, HexMobile> mobiles_;
   /// Handle of the one pending Poisson-arrival event (snapshot needs its
   /// fire time; inert when the arrival rate is zero).
   sim::EventHandle next_arrival_;
   traffic::ConnectionId next_id_ = 1;
   int events_since_audit_ = 0;
-  telemetry::Collector telemetry_;
-  telemetry::SimCounters tel_;  ///< null instruments unless telemetry is on
-  std::unique_ptr<fault::FaultInjector> fault_;  // null unless faults on
-  telemetry::FaultCounters fault_tel_;  ///< bound only when faults are on
 };
 
 }  // namespace pabr::core

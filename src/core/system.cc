@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "mobility/linear_motion.h"
@@ -29,18 +28,12 @@ CellularSystem::CellularSystem(SystemConfig config)
       rng_factory_(config_.seed),
       road_(config_.num_cells, config_.cell_diameter_km, config_.ring),
       interconnect_(config_.interconnect),
-      accountant_(road_, &interconnect_),
       workload_(road_, effective_workload(config_),
                 rng_factory_.make("workload")),
       retry_(config_.retry, rng_factory_.make("retry")),
       route_rng_(rng_factory_.make("route")),
-      policy_(admission::make_policy(config_.policy, config_.static_g,
-                                     &config_.ns)),
-      reservation_engine_([this](geom::CellId cell, int direction) {
-        return next_cell_in_direction(cell, direction);
-      }),
+      plane_(plane_params()),
       load_tracker_(config_.num_cells, config_.workload.mean_lifetime_s) {
-  PABR_CHECK(config_.capacity_bu > 0.0, "non-positive capacity");
   PABR_CHECK(config_.time_origin >= 0.0, "negative time origin");
   // Start the event clock at the configured origin so every absolute
   // timestamp (arrivals, estimator periods, metric windows) is measured
@@ -52,23 +45,6 @@ CellularSystem::CellularSystem(SystemConfig config)
           config_.known_route_fraction <= 1.0,
       "known_route_fraction out of [0,1]");
 
-  reservation::TestWindowConfig twc;
-  twc.phd_target = config_.phd_target;
-  twc.t_start = config_.t_start;
-  twc.step_policy = config_.t_est_step;
-
-  cells_.reserve(static_cast<std::size_t>(config_.num_cells));
-  stations_.reserve(static_cast<std::size_t>(config_.num_cells));
-  metrics_.resize(static_cast<std::size_t>(config_.num_cells));
-  for (geom::CellId c = 0; c < config_.num_cells; ++c) {
-    cells_.emplace_back(c, config_.capacity_bu,
-                        config_.soft_capacity_margin);
-    stations_.emplace_back(c, config_.hoef, twc);
-    auto& m = metrics_[static_cast<std::size_t>(c)];
-    m.br_mean.update(config_.time_origin, 0.0);
-    m.bu_mean.update(config_.time_origin, 0.0);
-    m.overload.update(config_.time_origin, 0.0);
-  }
   for (geom::CellId c : config_.traced_cells) {
     check_cell_id(c);
     traces_.emplace(c, CellTrace{});
@@ -96,34 +72,33 @@ CellularSystem::CellularSystem(SystemConfig config)
     });
   }
 
-#ifdef PABR_FAULT_ENABLED
-  if (config_.fault.enabled) {
-    fault_ = std::make_unique<fault::FaultInjector>(config_.fault);
-  }
-#endif
-
-  telemetry_.configure(config_.telemetry);
-  if (telemetry_.enabled()) {
-    tel_ = telemetry::make_sim_counters(telemetry_.registry(),
-                                        config_.capacity_bu);
-    reservation_engine_.bind_telemetry(tel_.terms_recomputed,
-                                       tel_.terms_reused);
-    accountant_.bind_telemetry(tel_.br_calculations);
-    policy_->bind_telemetry(telemetry_.registry());
-    for (auto& station : stations_) {
-      station.estimator().bind_telemetry(tel_.quads_recorded,
-                                         tel_.quads_evicted);
-    }
-    if (faults_on()) {
-      // Registered only under fault injection so fault-free snapshots
-      // keep their exact historical key set.
-      fault_tel_ = telemetry::make_fault_counters(telemetry_.registry());
-      accountant_.bind_fault_telemetry(fault_tel_.retries,
-                                       fault_tel_.timeouts);
-    }
-  }
-
   schedule_next_arrival();
+}
+
+CellPlane::Params CellularSystem::plane_params() {
+  CellPlane::Params p;
+  p.topology = &road_;
+  p.first = 0;
+  p.end = config_.num_cells;
+  p.capacity_bu = config_.capacity_bu;
+  p.soft_capacity_margin = config_.soft_capacity_margin;
+  p.track_overload = true;
+  p.origin = config_.time_origin;
+  p.policy = config_.policy;
+  p.static_g = config_.static_g;
+  p.ns = &config_.ns;
+  p.window.phd_target = config_.phd_target;
+  p.window.t_start = config_.t_start;
+  p.window.step_policy = config_.t_est_step;
+  p.hoef = config_.hoef;
+  p.incremental_reservation = config_.incremental_reservation;
+  p.telemetry = config_.telemetry;
+  p.fault = config_.fault;
+  p.interconnect = &interconnect_;
+  p.route_next = [this](geom::CellId cell, int direction) {
+    return next_cell_in_direction(cell, direction);
+  };
+  return p;
 }
 
 void CellularSystem::check_cell_id(geom::CellId cell) const {
@@ -141,46 +116,24 @@ void CellularSystem::run_until(sim::Time t) {
 }
 
 void CellularSystem::reset_metrics() {
-  const sim::Time t = simulator_.now();
-  for (geom::CellId c = 0; c < config_.num_cells; ++c) {
-    auto& m = metrics_[static_cast<std::size_t>(c)];
-    m.pcb.reset();
-    m.phd.reset();
-    m.br_mean.reset(t);
-    m.br_mean.update(
-        t, stations_[static_cast<std::size_t>(c)].current_reservation());
-    m.bu_mean.reset(t);
-    m.bu_mean.update(t, cells_[static_cast<std::size_t>(c)].used());
-    m.degrades.reset();
-    m.upgrades.reset();
-    m.soft_alloc.reset();
-    m.soft_fallback.reset();
-    m.overload.reset(t);
-    m.overload.update(
-        t, cells_[static_cast<std::size_t>(c)].overloaded() ? 1.0 : 0.0);
-  }
-  wired_blocks_.reset();
-  wired_drops_.reset();
-  accountant_.reset();
-  interconnect_.reset();
   // Telemetry follows the same warm-up semantics: accumulators restart,
   // learned simulation state persists untouched.
-  if (telemetry_.enabled()) {
-    telemetry_.registry().reset();
-    telemetry_.buffer().clear();
-  }
+  plane_.reset(simulator_.now());
+  wired_blocks_.reset();
+  wired_drops_.reset();
+  interconnect_.reset();
 }
 
 // ---- AdmissionContext -----------------------------------------------------
 
 double CellularSystem::capacity(geom::CellId cell) const {
   check_cell_id(cell);
-  return cells_[static_cast<std::size_t>(cell)].capacity();
+  return plane_.cell(cell).capacity();
 }
 
 double CellularSystem::used_bandwidth(geom::CellId cell) const {
   check_cell_id(cell);
-  return cells_[static_cast<std::size_t>(cell)].used();
+  return plane_.cell(cell).used();
 }
 
 const std::vector<geom::CellId>& CellularSystem::adjacent(
@@ -191,165 +144,29 @@ const std::vector<geom::CellId>& CellularSystem::adjacent(
 double CellularSystem::recompute_reservation(geom::CellId cell) {
   check_cell_id(cell);
   const sim::Time t = simulator_.now();
-
-  // Eq. (4) is evaluated with the *target* cell's estimation window
-  // (T_est of "cell next", §4.1).
-  const sim::Duration t_est =
-      stations_[static_cast<std::size_t>(cell)].window().t_est();
-
-  double br = 0.0;
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    // Degraded mode: each neighbour is consulted through the faulty
-    // backhaul. Messages are billed per attempt by exchange(); the B_r
-    // computation itself still counts once toward N_calc.
-    accountant_.count_br_calculation();
-    for (geom::CellId i : road_.neighbors(cell)) {
-      const bool reachable = accountant_.exchange(
-          cell, i, t, *fault_, backhaul::MessageType::kBandwidthQuery);
-      if (!reachable) {
-        // The neighbour's hand-in estimate is unavailable: substitute the
-        // configured static floor (a per-neighbour guard-channel stand-in,
-        // Hong & Rappaport style) and distrust the pair's cached terms.
-        br += config_.fault.degraded_floor_bu;
-        if (config_.incremental_reservation) {
-          reservation_engine_.mark_stale(i, cell);
-        }
-        telemetry::bump(fault_tel_.floor_substitutions);
-        continue;
-      }
-      if (config_.incremental_reservation) {
-        const bool healing = reservation_engine_.is_stale(i, cell);
-        const double before = br;
-        br = reservation_engine_.accumulate(
-            i, cell, cells_[static_cast<std::size_t>(i)].connections(),
-            stations_[static_cast<std::size_t>(i)].estimator(), t, t_est,
-            br);
-        if (healing) {
-          // Post-heal re-sync (invariant I9): the rebuilt pair cache must
-          // reproduce the from-scratch Eq. (5) contribution bit-for-bit.
-          PABR_CHECK(br == rescan_contribution(i, cell, t, t_est, before),
-                     "post-heal pair re-sync diverged from scratch rescan");
-          telemetry::bump(fault_tel_.pair_resyncs);
-        }
-      } else {
-        br = rescan_contribution(i, cell, t, t_est, br);
-      }
-    }
-  } else {
-#else
-  {
-#endif
-    accountant_.record_br_calculation(cell);
-    if (config_.incremental_reservation) {
-      for (geom::CellId i : road_.neighbors(cell)) {
-        br = reservation_engine_.accumulate(
-            i, cell, cells_[static_cast<std::size_t>(i)].connections(),
-            stations_[static_cast<std::size_t>(i)].estimator(), t, t_est,
-            br);
-      }
-    } else {
-      br = reservation_rescan(cell, t, t_est);
-    }
-  }
-
-  stations_[static_cast<std::size_t>(cell)].set_current_reservation(br);
+  const double br = plane_.recompute_reservation(cell, t);
   // §7: mirror the reservation onto the cell's wired access link — the
   // same expected hand-ins will need backbone capacity.
   if (backbone_ != nullptr) backbone_->set_reservation(cell, br);
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.br_recomputes);
-    tel_.br_value->add(br);
-    telemetry_.emit(t, telemetry::EventKind::kBrRecompute, cell, 0, br);
-  }
-  metrics_[static_cast<std::size_t>(cell)].br_mean.update(t, br);
   if (auto it = traces_.find(cell); it != traces_.end()) {
     it->second.br.add(t, br);
   }
   return br;
 }
 
-double CellularSystem::reservation_rescan(geom::CellId cell, sim::Time t,
-                                          sim::Duration t_est) const {
-  double br = 0.0;
-  for (geom::CellId i : road_.neighbors(cell)) {
-    br = rescan_contribution(i, cell, t, t_est, br);
-  }
-  return br;
-}
-
-double CellularSystem::rescan_contribution(geom::CellId source,
-                                           geom::CellId target, sim::Time t,
-                                           sim::Duration t_est,
-                                           double running) const {
-  const Cell& neighbor = cells_[static_cast<std::size_t>(source)];
-  const auto& estimator =
-      stations_[static_cast<std::size_t>(source)].estimator();
-  // Eq. (5): expected fractional hand-in bandwidth from cell `source`.
-  // Under adaptive QoS, "bandwidth reservation is made on the basis of the
-  // minimum QoS of each connection" (§1) — reserve_bandwidth carries the
-  // minimum-QoS value in that mode.
-  for (const traffic::ConnectionEntry& e : neighbor.connections()) {
-    const sim::Duration extant = t - e.view.entered_cell_at;
-    double ph;
-    if (e.view.route_known) {
-      // §7 ITS/GPS extension: the next cell is known, so the estimation
-      // function only estimates the hand-off (sojourn) time.
-      if (next_cell_in_direction(source, e.view.direction) != target) {
-        continue;
-      }
-      ph = estimator.any_handoff_probability(t, e.view.prev_cell, extant,
-                                             t_est);
-    } else {
-      ph = estimator.handoff_probability(t, e.view.prev_cell, target, extant,
-                                         t_est);
-    }
-    running += static_cast<double>(e.view.reserve_bandwidth) * ph;
-  }
-  return running;
-}
-
 double CellularSystem::scratch_reservation(geom::CellId cell) {
   check_cell_id(cell);
-  const sim::Time t = simulator_.now();
-  const sim::Duration t_est =
-      stations_[static_cast<std::size_t>(cell)].window().t_est();
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    // Mirror the degraded production path exactly — same reachability
-    // verdicts (exchange_outcome is pure in (from, to, t)), same floor —
-    // without any message or N_calc accounting.
-    double br = 0.0;
-    for (geom::CellId i : road_.neighbors(cell)) {
-      br = fault_->exchange_outcome(cell, i, t).delivered
-               ? rescan_contribution(i, cell, t, t_est, br)
-               : br + config_.fault.degraded_floor_bu;
-    }
-    return br;
-  }
-#endif
-  return reservation_rescan(cell, t, t_est);
+  return plane_.scratch_reservation(cell, simulator_.now());
 }
 
 bool CellularSystem::neighbor_reachable(geom::CellId cell,
                                         geom::CellId neighbor) {
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    const bool ok =
-        accountant_.exchange(cell, neighbor, simulator_.now(), *fault_,
-                             backhaul::MessageType::kReservationCheck);
-    if (!ok) telemetry::bump(fault_tel_.ac_local_fallbacks);
-    return ok;
-  }
-#endif
-  (void)cell;
-  (void)neighbor;
-  return true;
+  return plane_.neighbor_reachable(cell, neighbor, simulator_.now());
 }
 
 double CellularSystem::current_reservation(geom::CellId cell) const {
   check_cell_id(cell);
-  return stations_[static_cast<std::size_t>(cell)].current_reservation();
+  return plane_.station(cell).current_reservation();
 }
 
 // ---- Arrival path ---------------------------------------------------------
@@ -379,62 +196,25 @@ bool CellularSystem::submit_request(const traffic::ConnectionRequest& req) {
 bool CellularSystem::handle_arrival(traffic::ConnectionRequest request) {
   load_tracker_.on_request(simulator_.now(),
                            static_cast<double>(request.bandwidth()));
-  bool admitted = false;
+  bool admitted = plane_.admit(*this, request.cell, request.bandwidth(),
+                               simulator_.now());
   bool wired_block = false;
-  bool station_block = false;
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on() && !fault_->station_up(request.cell, simulator_.now())) {
-    // The serving BS is down: the request cannot even be signalled. It is
-    // blocked without an admission test, so no N_calc sample is taken —
-    // the complexity metric measures the algorithm, not the outage.
-    station_block = true;
-    telemetry::bump(fault_tel_.station_blocks);
+  if (admitted && backbone_ != nullptr &&
+      !backbone_->can_admit(request.cell, request.bandwidth())) {
+    // The air interface admitted but the wired route cannot carry the
+    // call (§2): blocked at the backbone.
+    admitted = false;
+    wired_block = true;
+    wired_blocks_.add();
   }
-#endif
-  if (!station_block) {
-    admitted = try_admit(request);
-    if (admitted && backbone_ != nullptr &&
-        !backbone_->can_admit(request.cell, request.bandwidth())) {
-      // The air interface admitted but the wired route cannot carry the
-      // call (§2): blocked at the backbone.
-      admitted = false;
-      wired_block = true;
-      wired_blocks_.add();
-    }
-  }
-  if (telemetry_.enabled()) {
-    // `blocked` counts every block; `blocked_wired` the backbone subset.
-    telemetry::bump(admitted ? tel_.admitted : tel_.blocked);
-    if (wired_block) telemetry::bump(tel_.blocked_wired);
-    telemetry_.emit(simulator_.now(),
-                    admitted      ? telemetry::EventKind::kAdmit
-                    : wired_block ? telemetry::EventKind::kWiredBlock
-                                  : telemetry::EventKind::kBlock,
-                    request.cell, request.id,
-                    static_cast<double>(request.bandwidth()));
-  }
-  metrics_[static_cast<std::size_t>(request.cell)].pcb.trial(!admitted);
+  plane_.count_request(request.cell, simulator_.now(), admitted, request.id,
+                       request.bandwidth(), wired_block);
   if (admitted) {
     start_connection(request);
   } else {
     maybe_schedule_retry(std::move(request));
   }
   return admitted;
-}
-
-bool CellularSystem::try_admit(const traffic::ConnectionRequest& request) {
-  backhaul::AdmissionScope scope(accountant_);
-  if (!telemetry_.time_admissions()) {
-    return policy_->admit(*this, request.cell, request.bandwidth());
-  }
-  // Wall-clock sampling of the admission test. steady_clock never touches
-  // simulation state, so determinism is unaffected.
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool ok = policy_->admit(*this, request.cell, request.bandwidth());
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  tel_.admission_ns->add(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  return ok;
 }
 
 void CellularSystem::maybe_schedule_retry(traffic::ConnectionRequest request) {
@@ -454,11 +234,9 @@ void CellularSystem::maybe_schedule_retry(traffic::ConnectionRequest request) {
   next.position_km = *pos;
   next.cell = road_.cell_at(*pos);
 
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.retries);
-    telemetry_.emit(simulator_.now(), telemetry::EventKind::kRetry, next.cell,
-                    next.id, static_cast<double>(next.attempt));
-  }
+  plane_.tally(plane_.counters().retries, simulator_.now(),
+               telemetry::EventKind::kRetry, next.cell, next.id,
+               static_cast<double>(next.attempt));
   schedule_retry_event(next_retry_token_++, simulator_.now() + wait,
                        std::move(next));
 }
@@ -498,13 +276,13 @@ void CellularSystem::start_connection(
 
   rec.m.current_bandwidth = request.bandwidth();  // new calls get full QoS
 
-  cells_[static_cast<std::size_t>(request.cell)].attach(
-      request.id, request.bandwidth(),
-      reservation_view(rec.m, request.bandwidth()));
+  plane_.cell(request.cell)
+      .attach(request.id, request.bandwidth(),
+              reservation_view(rec.m, request.bandwidth()));
   if (backbone_ != nullptr) {
     backbone_->admit(request.cell, request.id, request.bandwidth());
   }
-  record_bu(request.cell);
+  plane_.record_bu(request.cell, t);
 
   const auto [it, inserted] = mobiles_.emplace(request.id, std::move(rec));
   PABR_CHECK(inserted, "duplicate connection id");
@@ -558,36 +336,29 @@ void CellularSystem::handle_zone_entry(traffic::ConnectionId id) {
   const geom::CellId to = rec.crossing_to;
   PABR_CHECK(to != geom::kNoCell, "zone entry without a next cell");
 
-  Cell& dst = cells_[static_cast<std::size_t>(to)];
-  traffic::Bandwidth granted = grant_for_handoff(dst, rec.m);
-#ifdef PABR_FAULT_ENABLED
+  const sim::Time t = simulator_.now();
+  traffic::Bandwidth granted = grant_for_handoff(to, rec.m);
   // A down destination BS cannot pre-allocate a soft leg; fall back to a
   // hard hand-off attempt at the boundary like any other full cell.
-  if (granted > 0 && faults_on() &&
-      !fault_->station_up(to, simulator_.now())) {
+  if (granted > 0 && faults_on() && !plane_.fault()->station_up(to, t)) {
     granted = 0;
   }
-#endif
   if (granted == 0) {
     // No room yet: fall back to a hard hand-off attempt at the boundary.
-    metrics_[static_cast<std::size_t>(to)].soft_fallback.add();
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.soft_fallbacks);
-      telemetry_.emit(simulator_.now(), telemetry::EventKind::kSoftFallback,
-                      to, id, static_cast<double>(rec.m.bandwidth()));
-    }
+    plane_.metrics(to).soft_fallback.add();
+    plane_.tally(plane_.counters().soft_fallbacks, t,
+                 telemetry::EventKind::kSoftFallback, to, id,
+                 static_cast<double>(rec.m.bandwidth()));
     return;
   }
-  dst.attach(id, granted, reservation_view(rec.m, granted));
+  plane_.cell(to).attach(id, granted, reservation_view(rec.m, granted));
   rec.dual_cell = to;
   rec.dual_bw = granted;
-  metrics_[static_cast<std::size_t>(to)].soft_alloc.add();
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.soft_allocs);
-    telemetry_.emit(simulator_.now(), telemetry::EventKind::kSoftAlloc, to,
-                    id, static_cast<double>(granted));
-  }
-  record_bu(to);
+  plane_.metrics(to).soft_alloc.add();
+  plane_.tally(plane_.counters().soft_allocs, t,
+               telemetry::EventKind::kSoftAlloc, to, id,
+               static_cast<double>(granted));
+  plane_.record_bu(to, t);
 }
 
 void CellularSystem::handle_crossing(traffic::ConnectionId id) {
@@ -604,14 +375,12 @@ void CellularSystem::handle_crossing(traffic::ConnectionId id) {
   rec.m.position_km = rec.crossing_boundary_km;
   rec.m.position_at = t;
 
+  const telemetry::SimCounters& counters = plane_.counters();
   if (to == geom::kNoCell) {
     // Drives off the open road: the connection ends without a hand-off
     // and without a quadruplet (no adjacent cell was entered).
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.off_road);
-      telemetry_.emit(t, telemetry::EventKind::kOffRoad, from, id,
-                      static_cast<double>(rec.m.current_bandwidth));
-    }
+    plane_.tally(counters.off_road, t, telemetry::EventKind::kOffRoad, from,
+                 id, static_cast<double>(rec.m.current_bandwidth));
     terminate(rec, /*cancel_expiry=*/true, /*cancel_crossing=*/false);
     mobiles_.erase(it);
     return;
@@ -628,28 +397,17 @@ void CellularSystem::handle_crossing(traffic::ConnectionId id) {
 
   // The departed cell caches the hand-off event quadruplet (§3.1) — the
   // mobile physically moved regardless of whether the hand-off survives.
-  stations_[static_cast<std::size_t>(from)].estimator().record(
-      hoef::Quadruplet{t, rec.m.prev_cell, to, sojourn});
+  plane_.record_departure(from,
+                          hoef::Quadruplet{t, rec.m.prev_cell, to, sojourn});
   interconnect_.record(from, to, backhaul::MessageType::kHandoffSignal);
-  if (telemetry_.enabled()) tel_.handoff_sojourn->add(sojourn);
-
-  Cell& dst = cells_[static_cast<std::size_t>(to)];
 
   // A soft hand-off leg pre-allocated in the destination makes the
   // crossing drop-proof (make-before-break); otherwise grant full QoS if
-  // it fits, or the adaptive-QoS minimum (§1), or drop.
+  // it fits, or the adaptive-QoS minimum (§1), or drop. A down
+  // destination station drops it even then.
   const bool via_dual = rec.dual() && rec.dual_cell == to;
-  traffic::Bandwidth granted =
-      via_dual ? rec.dual_bw : grant_for_handoff(dst, rec.m);
-#ifdef PABR_FAULT_ENABLED
-  if (granted > 0 && faults_on() && !fault_->station_up(to, t)) {
-    // Destination BS is down: the hand-off has no one to signal to, so
-    // the crossing drops even when radio capacity (or a pre-allocated
-    // soft leg) would have carried it.
-    granted = 0;
-    telemetry::bump(fault_tel_.station_drops);
-  }
-#endif
+  traffic::Bandwidth granted = plane_.gate_hand_in(
+      to, t, via_dual ? rec.dual_bw : grant_for_handoff(to, rec.m));
   // §2/§7 wired leg: the new access link must also carry the call, and
   // the shared uplink must absorb any adaptive-QoS resize (the uplink leg
   // persists across the re-route, so only the delta over the currently
@@ -666,63 +424,32 @@ void CellularSystem::handle_crossing(traffic::ConnectionId id) {
   const bool dropped = granted == 0;
 
   // Fig. 6 controller of the destination cell observes every hand-off.
-  const sim::Duration t_est_before =
-      stations_[static_cast<std::size_t>(to)].window().t_est();
-  stations_[static_cast<std::size_t>(to)].window().on_handoff(
-      dropped, t_soj_max_for(to));
-  metrics_[static_cast<std::size_t>(to)].phd.trial(dropped);
+  plane_.observe_hand_in(to, t, dropped, plane_.t_soj_max(to, t));
   if (auto tr = traces_.find(to); tr != traces_.end()) {
-    tr->second.t_est.add(
-        t, stations_[static_cast<std::size_t>(to)].window().t_est());
-    tr->second.phd.add(
-        t, metrics_[static_cast<std::size_t>(to)].phd.value());
-  }
-  if (telemetry_.enabled()) {
-    const sim::Duration t_est_after =
-        stations_[static_cast<std::size_t>(to)].window().t_est();
-    if (t_est_after != t_est_before) {
-      telemetry_.emit(t, telemetry::EventKind::kTEstStep, to, 0, t_est_after);
-    }
+    tr->second.t_est.add(t, plane_.station(to).window().t_est());
+    tr->second.phd.add(t, plane_.metrics(to).phd.value());
   }
 
   if (dropped) {
-    if (telemetry_.enabled()) {
-      // `handoff_dropped` counts every drop; `_wired` the backbone subset.
-      telemetry::bump(tel_.handoff_dropped);
-      if (wired_dropped) telemetry::bump(tel_.handoff_dropped_wired);
-      telemetry_.emit(t,
-                      wired_dropped ? telemetry::EventKind::kWiredDrop
-                                    : telemetry::EventKind::kHandoffDrop,
-                      to, id, static_cast<double>(rec.m.bandwidth()));
-    }
+    plane_.count_hand_in(to, t, id, true, rec.m.bandwidth(), wired_dropped);
     terminate(rec, /*cancel_expiry=*/true, /*cancel_crossing=*/false);
     mobiles_.erase(it);
     return;
   }
 
   if (granted < rec.m.bandwidth()) {
-    metrics_[static_cast<std::size_t>(to)].degrades.add();
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.handoff_degraded);
-      telemetry_.emit(t, telemetry::EventKind::kDegrade, to, id,
-                      static_cast<double>(granted));
-    }
+    plane_.metrics(to).degrades.add();
+    plane_.tally(counters.handoff_degraded, t, telemetry::EventKind::kDegrade,
+                 to, id, static_cast<double>(granted));
   } else if (rec.m.degraded()) {
-    metrics_[static_cast<std::size_t>(to)].upgrades.add();
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.handoff_upgraded);
-      telemetry_.emit(t, telemetry::EventKind::kUpgrade, to, id,
-                      static_cast<double>(granted));
-    }
+    plane_.metrics(to).upgrades.add();
+    plane_.tally(counters.handoff_upgraded, t, telemetry::EventKind::kUpgrade,
+                 to, id, static_cast<double>(granted));
   }
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.handoff_completed);
-    telemetry_.emit(t, telemetry::EventKind::kHandoff, to, id,
-                    static_cast<double>(granted));
-  }
+  plane_.count_hand_in(to, t, id, false, granted);
 
-  cells_[static_cast<std::size_t>(from)].detach(id);
-  record_bu(from);
+  plane_.cell(from).detach(id);
+  plane_.record_bu(from, t);
   if (backbone_ != nullptr) backbone_->reroute(from, to, id, granted);
   rec.m.current_bandwidth = granted;
 
@@ -734,23 +461,20 @@ void CellularSystem::handle_crossing(traffic::ConnectionId id) {
     // reservation-visible entry state must track the crossing.
     rec.dual_cell = geom::kNoCell;
     rec.dual_bw = 0;
-    dst.set_view(id, reservation_view(rec.m, granted));
+    plane_.cell(to).set_view(id, reservation_view(rec.m, granted));
   } else {
-    dst.attach(id, granted, reservation_view(rec.m, granted));
+    plane_.cell(to).attach(id, granted, reservation_view(rec.m, granted));
   }
-  record_bu(to);
+  plane_.record_bu(to, t);
   schedule_crossing(rec);
 }
 
 void CellularSystem::handle_expiry(traffic::ConnectionId id) {
   const auto it = mobiles_.find(id);
   PABR_CHECK(it != mobiles_.end(), "expiry for unknown mobile");
-  if (telemetry_.enabled()) {
-    telemetry::bump(tel_.expiries);
-    telemetry_.emit(simulator_.now(), telemetry::EventKind::kExpiry,
-                    it->second.m.cell, id,
-                    static_cast<double>(it->second.m.current_bandwidth));
-  }
+  plane_.tally(plane_.counters().expiries, simulator_.now(),
+               telemetry::EventKind::kExpiry, it->second.m.cell, id,
+               static_cast<double>(it->second.m.current_bandwidth));
   terminate(it->second, /*cancel_expiry=*/false, /*cancel_crossing=*/true);
   mobiles_.erase(it);
 }
@@ -760,34 +484,21 @@ void CellularSystem::terminate(MobileRecord& rec, bool cancel_expiry,
   if (cancel_expiry) simulator_.cancel(rec.expiry);
   if (cancel_crossing) simulator_.cancel(rec.crossing);
   simulator_.cancel(rec.zone_entry);  // inert if never scheduled/fired
-  cells_[static_cast<std::size_t>(rec.m.cell)].detach(rec.m.id);
+  const sim::Time t = simulator_.now();
+  plane_.cell(rec.m.cell).detach(rec.m.id);
   if (backbone_ != nullptr) backbone_->release(rec.m.cell, rec.m.id);
-  record_bu(rec.m.cell);
+  plane_.record_bu(rec.m.cell, t);
   if (rec.dual()) {
-    cells_[static_cast<std::size_t>(rec.dual_cell)].detach(rec.m.id);
-    record_bu(rec.dual_cell);
+    plane_.cell(rec.dual_cell).detach(rec.m.id);
+    plane_.record_bu(rec.dual_cell, t);
     rec.dual_cell = geom::kNoCell;
   }
 }
 
 traffic::Bandwidth CellularSystem::grant_for_handoff(
-    const Cell& dst, const mobility::Mobile& m) const {
-  const traffic::Bandwidth full = m.bandwidth();
-  if (dst.can_fit(full)) return full;
-  if (config_.adaptive_qos) {
-    const traffic::Bandwidth floor = min_bandwidth(m);
-    if (floor < full && dst.can_fit(floor)) return floor;
-  }
-  return 0;
-}
-
-// ---- Metrics ----------------------------------------------------------------
-
-void CellularSystem::record_bu(geom::CellId cell) {
-  auto& m = metrics_[static_cast<std::size_t>(cell)];
-  const Cell& c = cells_[static_cast<std::size_t>(cell)];
-  m.bu_mean.update(simulator_.now(), c.used());
-  m.overload.update(simulator_.now(), c.overloaded() ? 1.0 : 0.0);
+    geom::CellId to, const mobility::Mobile& m) const {
+  return plane_.grant(to, m.bandwidth(),
+                      config_.adaptive_qos ? min_bandwidth(m) : m.bandwidth());
 }
 
 traffic::Bandwidth CellularSystem::min_bandwidth(
@@ -822,72 +533,20 @@ geom::CellId CellularSystem::next_cell_in_direction(geom::CellId cell,
                                                            : candidate;
 }
 
-sim::Duration CellularSystem::t_soj_max_for(geom::CellId cell) const {
-  // T_soj,max: "the maximum T_soj derived from the hand-off estimation
-  // functions in adjacent cells" (§4.2).
-  sim::Duration m = 0.0;
-  for (geom::CellId i : road_.neighbors(cell)) {
-    m = std::max(m, stations_[static_cast<std::size_t>(i)].estimator()
-                        .max_sojourn(simulator_.now()));
-  }
-  return m;
-}
+// ---- Metrics ----------------------------------------------------------------
 
 const CellMetrics& CellularSystem::cell_metrics(geom::CellId cell) const {
   check_cell_id(cell);
-  return metrics_[static_cast<std::size_t>(cell)];
+  return plane_.metrics(cell);
 }
 
 CellStatus CellularSystem::cell_status(geom::CellId cell) const {
   check_cell_id(cell);
-  const auto idx = static_cast<std::size_t>(cell);
-  const sim::Time t = simulator_.now();
-  CellStatus s;
-  s.cell = cell + 1;  // the paper's 1-based numbering
-  s.pcb = metrics_[idx].pcb.value();
-  s.phd = metrics_[idx].phd.value();
-  s.t_est = stations_[idx].window().t_est();
-  s.br = stations_[idx].current_reservation();
-  s.bu = cells_[idx].used();
-  s.br_avg = metrics_[idx].br_mean.mean(t);
-  s.bu_avg = metrics_[idx].bu_mean.mean(t);
-  s.requests = metrics_[idx].pcb.trials();
-  s.blocks = metrics_[idx].pcb.hits();
-  s.handoffs = metrics_[idx].phd.trials();
-  s.drops = metrics_[idx].phd.hits();
-  return s;
+  return plane_.cell_status(cell, simulator_.now());
 }
 
 SystemStatus CellularSystem::system_status() const {
-  SystemStatus s;
-  const sim::Time t = simulator_.now();
-  double br_sum = 0.0;
-  double bu_sum = 0.0;
-  for (geom::CellId c = 0; c < config_.num_cells; ++c) {
-    const auto idx = static_cast<std::size_t>(c);
-    s.requests += metrics_[idx].pcb.trials();
-    s.blocks += metrics_[idx].pcb.hits();
-    s.handoffs += metrics_[idx].phd.trials();
-    s.drops += metrics_[idx].phd.hits();
-    s.degrades += metrics_[idx].degrades.count();
-    s.upgrades += metrics_[idx].upgrades.count();
-    s.soft_allocations += metrics_[idx].soft_alloc.count();
-    s.soft_fallbacks += metrics_[idx].soft_fallback.count();
-    s.overload_frac += metrics_[idx].overload.mean(t) /
-                       static_cast<double>(config_.num_cells);
-    br_sum += metrics_[idx].br_mean.mean(t);
-    bu_sum += metrics_[idx].bu_mean.mean(t);
-  }
-  s.pcb = s.requests == 0 ? 0.0
-                          : static_cast<double>(s.blocks) /
-                                static_cast<double>(s.requests);
-  s.phd = s.handoffs == 0 ? 0.0
-                          : static_cast<double>(s.drops) /
-                                static_cast<double>(s.handoffs);
-  s.n_calc = accountant_.n_calc();
-  s.br_avg = br_sum / static_cast<double>(config_.num_cells);
-  s.bu_avg = bu_sum / static_cast<double>(config_.num_cells);
-  s.br_calculations = accountant_.total_br_calculations();
+  SystemStatus s = plane_.status(simulator_.now());
   s.backhaul_messages = interconnect_.total_messages();
   return s;
 }
@@ -898,41 +557,27 @@ const CellTrace* CellularSystem::trace(geom::CellId cell) const {
 }
 
 telemetry::MetricsSnapshot CellularSystem::telemetry_snapshot() {
-  if (telemetry_.enabled()) {
-    auto& reg = telemetry_.registry();
-    reg.gauge("signaling.n_calc")->set(accountant_.n_calc());
-    reg.gauge("signaling.messages")
-        ->set(static_cast<double>(interconnect_.total_messages()));
-    reg.gauge("connections.active")
-        ->set(static_cast<double>(mobiles_.size()));
-    reg.gauge("trace.emitted")
-        ->set(static_cast<double>(telemetry_.buffer().emitted()));
-    reg.gauge("trace.rotated_out")
-        ->set(static_cast<double>(telemetry_.buffer().rotated_out()));
-    reg.gauge("trace.sampled_out")
-        ->set(static_cast<double>(telemetry_.buffer().sampled_out()));
-  }
-  return telemetry_.snapshot();
+  return plane_.telemetry_snapshot(mobiles_.size(), &interconnect_);
 }
 
 Cell& CellularSystem::cell(geom::CellId id) {
   check_cell_id(id);
-  return cells_[static_cast<std::size_t>(id)];
+  return plane_.cell(id);
 }
 
 const Cell& CellularSystem::cell(geom::CellId id) const {
   check_cell_id(id);
-  return cells_[static_cast<std::size_t>(id)];
+  return plane_.cell(id);
 }
 
 BaseStation& CellularSystem::base_station(geom::CellId id) {
   check_cell_id(id);
-  return stations_[static_cast<std::size_t>(id)];
+  return plane_.station(id);
 }
 
 const BaseStation& CellularSystem::base_station(geom::CellId id) const {
   check_cell_id(id);
-  return stations_[static_cast<std::size_t>(id)];
+  return plane_.station(id);
 }
 
 }  // namespace pabr::core

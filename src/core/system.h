@@ -18,15 +18,14 @@
 #include "admission/ns_policy.h"
 #include "admission/policy.h"
 #include "backhaul/network.h"
-#include "backhaul/signaling.h"
 #include "core/base_station.h"
 #include "core/cell.h"
+#include "core/cell_plane.h"
 #include "core/metrics.h"
 #include "fault/fault.h"
 #include "geom/linear_topology.h"
 #include "hoef/estimator.h"
 #include "mobility/mobile.h"
-#include "reservation/engine.h"
 #include "reservation/test_window.h"
 #include "sim/series.h"
 #include "sim/simulator.h"
@@ -119,23 +118,20 @@ struct SystemConfig {
   // recorded as time series.
   std::vector<geom::CellId> traced_cells;
 
-  /// Audit cadence: in builds with PABR_AUDIT on, run the full invariant
-  /// sweep (audit_invariants) after every Nth handled simulation event.
-  /// 0 disables the hook. Ignored entirely when PABR_AUDIT is off —
-  /// audit_invariants() itself stays callable in every build.
+  /// Audit cadence: run the full invariant sweep (audit_invariants) after
+  /// every Nth handled simulation event. 0 disables the hook;
+  /// audit_invariants() itself stays callable either way.
   int audit_every = 0;
 
-  /// Telemetry & trace collection (telemetry/telemetry.h). Default off;
-  /// with PABR_TELEMETRY compiled out the field is inert. Purely
-  /// observational either way: trajectories are byte-identical with
-  /// telemetry on, off, or compiled out.
+  /// Telemetry & trace collection (telemetry/telemetry.h). Default off.
+  /// Purely observational: trajectories are byte-identical with
+  /// telemetry on or off.
   telemetry::TelemetryConfig telemetry;
 
-  /// Deterministic fault injection (fault/fault.h). Default disabled; with
-  /// PABR_FAULT compiled out the field is inert. When disabled the fault
-  /// branches are never taken and no injector RNG stream is created, so
-  /// trajectories are byte-identical to builds/runs without fault support
-  /// — the same contract as telemetry.
+  /// Deterministic fault injection (fault/fault.h). Default disabled:
+  /// the fault branches are then never taken and no injector RNG stream
+  /// is created, so trajectories are byte-identical to runs without
+  /// fault support — the same contract as telemetry.
   fault::FaultConfig fault;
 
   /// Simulation clock value at construction. The system behaves as if it
@@ -198,11 +194,11 @@ class CellularSystem final : public admission::AdmissionContext {
   const CellTrace* trace(geom::CellId cell) const;
 
   // ---- Telemetry (src/telemetry/) ----------------------------------------
-  telemetry::Collector& telemetry() { return telemetry_; }
-  const telemetry::Collector& telemetry() const { return telemetry_; }
+  telemetry::Collector& telemetry() { return plane_.telemetry(); }
+  const telemetry::Collector& telemetry() const { return plane_.telemetry(); }
   /// Metrics snapshot with the polled gauges (N_calc, signalling message
   /// totals, active connections, trace-buffer health) synced first.
-  /// Empty when telemetry is disabled or compiled out.
+  /// Empty when telemetry is disabled.
   telemetry::MetricsSnapshot telemetry_snapshot();
 
   // ---- Introspection ------------------------------------------------------
@@ -216,7 +212,7 @@ class CellularSystem final : public admission::AdmissionContext {
     return interconnect_;
   }
   const backhaul::SignalingAccountant& accountant() const {
-    return accountant_;
+    return plane_.accountant();
   }
   std::size_t active_connections() const { return mobiles_.size(); }
   std::uint64_t events_executed() const {
@@ -224,18 +220,12 @@ class CellularSystem final : public admission::AdmissionContext {
   }
 
   // ---- Fault injection (src/fault/) --------------------------------------
-  /// True when fault hooks are compiled in AND this run enabled them
-  /// (SystemConfig::fault.enabled). Constant false otherwise.
-  bool faults_on() const {
-#ifdef PABR_FAULT_ENABLED
-    return fault_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  /// True when this run enabled fault injection
+  /// (SystemConfig::fault.enabled).
+  bool faults_on() const { return plane_.faults_on(); }
   /// The run's injector (null without fault injection). Tests use this to
   /// query the sampled link/station timelines the simulation saw.
-  fault::FaultInjector* fault_injector() { return fault_.get(); }
+  fault::FaultInjector* fault_injector() { return plane_.fault(); }
 
   /// Direct injection hooks used by unit/integration tests: bypasses the
   /// Poisson workload and submits one request now. Returns whether it was
@@ -247,8 +237,7 @@ class CellularSystem final : public admission::AdmissionContext {
   /// catalogue of audit/invariants.h. Throws InvariantError naming the
   /// first violated invariant. Trajectory-transparent: nothing observable
   /// by the simulation (occupancy, reservations, metrics, RNG streams)
-  /// changes. Available in every build; the per-event hook driven by
-  /// SystemConfig::audit_every additionally needs PABR_AUDIT.
+  /// changes. SystemConfig::audit_every drives it per event.
   void audit_invariants();
 
   // ---- Snapshot (src/core/system_snapshot.cc, format in src/snapshot/) ----
@@ -282,7 +271,6 @@ class CellularSystem final : public admission::AdmissionContext {
   /// arrival at its saved fire time).
   void schedule_arrival_at(sim::Time t);
   bool handle_arrival(traffic::ConnectionRequest request);
-  bool try_admit(const traffic::ConnectionRequest& request);
   void maybe_schedule_retry(traffic::ConnectionRequest request);
   /// Books the retry event for `next` at absolute time `when` under the
   /// given token and tracks it in pending_retries_ (shared by the live
@@ -290,6 +278,9 @@ class CellularSystem final : public admission::AdmissionContext {
   /// replays the saved one).
   void schedule_retry_event(std::uint64_t token, sim::Time when,
                             traffic::ConnectionRequest next);
+  /// The ring's plane: every cell of the road, with the wired and
+  /// route-known extensions' parameters.
+  CellPlane::Params plane_params();
   /// Applies a parsed snapshot onto the freshly constructed system.
   void restore_from(const snapshot::Reader& reader);
   void start_connection(const traffic::ConnectionRequest& request);
@@ -298,12 +289,11 @@ class CellularSystem final : public admission::AdmissionContext {
   void handle_zone_entry(traffic::ConnectionId id);
   void handle_expiry(traffic::ConnectionId id);
   void terminate(MobileRecord& rec, bool cancel_expiry, bool cancel_crossing);
-  /// Bandwidth a hand-off into `dst` would be granted under the current
+  /// Bandwidth a hand-off into `to` would be granted under the current
   /// QoS rules (full, degraded minimum, or 0 = drop).
-  traffic::Bandwidth grant_for_handoff(const Cell& dst,
+  traffic::Bandwidth grant_for_handoff(geom::CellId to,
                                        const mobility::Mobile& m) const;
 
-  void record_bu(geom::CellId cell);
   /// Minimum-QoS bandwidth of a connection (adaptive QoS, §1).
   traffic::Bandwidth min_bandwidth(const mobility::Mobile& m) const;
   /// The dense per-connection record the reservation hot loop reads,
@@ -312,34 +302,19 @@ class CellularSystem final : public admission::AdmissionContext {
   /// instead when adaptive QoS is on, §1).
   traffic::ReservationView reservation_view(
       const mobility::Mobile& m, traffic::Bandwidth attached_bw) const;
-  /// Eq. (6) summed term-by-term from scratch over the dense connection
-  /// tables (shared by the scratch path and the engine-off mode).
-  double reservation_rescan(geom::CellId cell, sim::Time t,
-                            sim::Duration t_est) const;
-  /// One neighbour's Eq. (5) contribution of the from-scratch rescan,
-  /// added term-by-term onto `running` in the exact association order of
-  /// reservation_rescan (which is a loop of these). Degraded-mode code
-  /// compares per-pair contributions against the incremental engine.
-  double rescan_contribution(geom::CellId source, geom::CellId target,
-                             sim::Time t, sim::Duration t_est,
-                             double running) const;
-  sim::Duration t_soj_max_for(geom::CellId cell) const;
   /// The cell a mobile in `cell` moving in `direction` will enter next
   /// (kNoCell past an open border).
   geom::CellId next_cell_in_direction(geom::CellId cell, int direction) const;
   void check_cell_id(geom::CellId cell) const;
 
-  /// Per-event audit hook, called at the end of every event handler.
-  /// Compiles to nothing without PABR_AUDIT; otherwise runs the full
-  /// sweep every config_.audit_every events.
+  /// Per-event audit hook, called at the end of every event handler:
+  /// runs the full sweep every config_.audit_every events.
   void maybe_audit() {
-#ifdef PABR_AUDIT_ENABLED
     if (config_.audit_every > 0 &&
         ++events_since_audit_ >= config_.audit_every) {
       events_since_audit_ = 0;
       audit_invariants();
     }
-#endif
   }
 
   SystemConfig config_;
@@ -347,16 +322,11 @@ class CellularSystem final : public admission::AdmissionContext {
   sim::Simulator simulator_;
   geom::LinearTopology road_;
   backhaul::InterconnectModel interconnect_;
-  backhaul::SignalingAccountant accountant_;
   traffic::WorkloadGenerator workload_;
   traffic::RetryPolicy retry_;
   sim::Rng route_rng_;  ///< decides which mobiles have known routes (§7)
-  std::unique_ptr<admission::AdmissionPolicy> policy_;
-  reservation::IncrementalEngine reservation_engine_;
+  CellPlane plane_;
 
-  std::vector<Cell> cells_;
-  std::vector<BaseStation> stations_;
-  std::vector<CellMetrics> metrics_;
   std::unordered_map<traffic::ConnectionId, MobileRecord> mobiles_;
   /// Handle of the one pending Poisson-arrival event (snapshot needs its
   /// fire time; inert when the arrival rate is zero).
@@ -377,10 +347,6 @@ class CellularSystem final : public admission::AdmissionContext {
   sim::Counter wired_blocks_;
   sim::Counter wired_drops_;
   int events_since_audit_ = 0;
-  telemetry::Collector telemetry_;
-  telemetry::SimCounters tel_;  ///< null instruments unless telemetry is on
-  std::unique_ptr<fault::FaultInjector> fault_;  // null unless faults on
-  telemetry::FaultCounters fault_tel_;  ///< bound only when faults are on
 
  public:
   const wired::Backbone* backbone() const { return backbone_.get(); }

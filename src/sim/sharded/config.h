@@ -9,11 +9,10 @@
 namespace pabr::sim::sharded {
 
 struct ShardedConfig {
-  /// The simulated system. The sharded executor reuses the hex system's
-  /// components (cells, base stations, reservation engine, admission
-  /// policies, fault injector, telemetry registry) but NOT its event
-  /// loop; see DESIGN.md §12 for the documented semantic divergences
-  /// (frozen neighbour state, per-cell RNG streams, barrier-time B_r).
+  /// The simulated system. Each shard runs the hex system's control
+  /// plane (core::CellPlane over its slice) but NOT its event loop; see
+  /// DESIGN.md §12 for the documented semantic divergences (frozen
+  /// neighbour state, per-cell RNG streams, barrier-time B_r).
   core::HexSystemConfig system;
 
   /// Worker/shard count. Results are bitwise-identical for ANY value;

@@ -202,23 +202,7 @@ ShardedResult ShardedExecutor::run() {
   result.cells.reserve(static_cast<std::size_t>(n));
   for (geom::CellId c = 0; c < n; ++c) {
     const Shard& shard = *shards[static_cast<std::size_t>(partition_.owner(c))];
-    const core::Cell& cell = shard.cell_state(c);
-    const core::BaseStation& station = shard.station_state(c);
-    const core::CellMetrics& m = shard.cell_metrics(c);
-
-    core::CellStatus row;
-    row.cell = c + 1;
-    row.pcb = ratio_of(m.pcb.hits(), m.pcb.trials());
-    row.phd = ratio_of(m.phd.hits(), m.phd.trials());
-    row.t_est = station.window().t_est();
-    row.br = station.current_reservation();
-    row.bu = cell.used();
-    row.br_avg = m.br_mean.mean(end);
-    row.bu_avg = m.bu_mean.mean(end);
-    row.requests = m.pcb.trials();
-    row.blocks = m.pcb.hits();
-    row.handoffs = m.phd.trials();
-    row.drops = m.phd.hits();
+    const core::CellStatus row = shard.cell_status(c, end);
     result.cells.push_back(row);
 
     st.requests += row.requests;
@@ -229,7 +213,8 @@ ShardedResult ShardedExecutor::run() {
     bu_sum += row.bu_avg;
 
     digest.add_double(row.bu);
-    digest.add_u64(static_cast<std::uint64_t>(cell.connection_count()));
+    digest.add_u64(
+        static_cast<std::uint64_t>(shard.cell_state(c).connection_count()));
     digest.add_double(row.br);
     digest.add_double(row.t_est);
     digest.add_u64(row.blocks);

@@ -1,10 +1,10 @@
 #include "sim/sharded/shard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 
+#include "audit/invariants.h"
 #include "snapshot/parts.h"
 #include "util/check.h"
 
@@ -18,38 +18,30 @@ std::string stream_name(const char* prefix, geom::CellId cell) {
 
 }  // namespace
 
+core::CellPlane::Params Shard::plane_params(const ShardedConfig& config,
+                                           const SharedState& shared,
+                                           int index) {
+  core::CellPlane::Params p = core::hex_plane_params(
+      config.system, *shared.grid, shared.partition->first(index),
+      shared.partition->last(index));
+  p.telemetry.trace = false;
+  return p;
+}
+
 Shard::Shard(const ShardedConfig& config, SharedState& shared, int index)
     : config_(config),
       shared_(shared),
       index_(index),
-      accountant_(*shared.grid, nullptr),
-      policy_(admission::make_policy(config_.system.policy,
-                                     config_.system.static_g,
-                                     &config_.system.ns)) {
-  first_ = shared_.partition->first(index);
-  end_ = shared_.partition->last(index);
-
-  reservation::TestWindowConfig twc;
-  twc.phd_target = config_.system.phd_target;
-  twc.t_start = config_.system.t_start;
-
+      plane_(plane_params(config, shared, index)) {
   const sim::RngFactory factory(config_.system.seed);
 
-  const auto span = static_cast<std::size_t>(end_ - first_);
-  cells_.reserve(span);
-  stations_.reserve(span);
-  metrics_.resize(span);
+  const auto span = static_cast<std::size_t>(end_cell() - first_cell());
   arrival_rng_.reserve(span);
   motion_rng_.reserve(span);
   ordinal_.assign(span, 0);
   out_slots_.resize(span);
 
-  for (geom::CellId c = first_; c < end_; ++c) {
-    const auto li = static_cast<std::size_t>(c - first_);
-    cells_.emplace_back(c, config_.system.capacity_bu);
-    stations_.emplace_back(c, config_.system.hoef, twc);
-    metrics_[li].br_mean.update(0.0, 0.0);
-    metrics_[li].bu_mean.update(0.0, 0.0);
+  for (geom::CellId c = first_cell(); c < end_cell(); ++c) {
     // One arrival and one mobility stream per CELL (not per shard): the
     // draw sequence each cell sees is then independent of the partition,
     // which is what makes trajectories shard-count invariant.
@@ -63,7 +55,7 @@ Shard::Shard(const ShardedConfig& config, SharedState& shared, int index)
       const auto& back = shared_.grid->neighbors(target);
       for (std::size_t j = 0; j < back.size(); ++j) {
         if (back[j] == c) {
-          out_slots_[li].push_back(
+          out_slots_[local(c)].push_back(
               OutSlot{target, shared_.contrib_offset[static_cast<std::size_t>(
                                   target)] +
                                   j});
@@ -73,44 +65,14 @@ Shard::Shard(const ShardedConfig& config, SharedState& shared, int index)
     }
   }
 
-#ifdef PABR_FAULT_ENABLED
-  if (config_.system.fault.enabled) {
-    // Each shard holds its own injector REPLICA. All decisions are pure
-    // functions of (fault seed, query args) and timeline memoization is
-    // query-order independent, so replicas agree bitwise.
-    fault_ = std::make_unique<fault::FaultInjector>(config_.system.fault);
-  }
-#endif
-
-  telemetry::TelemetryConfig tcfg = config_.system.telemetry;
-  tcfg.trace = false;  // per-shard trace rings are not merge-ordered
-  telemetry_.configure(tcfg);
-  if (telemetry_.enabled()) {
-    tel_ = telemetry::make_sim_counters(telemetry_.registry(),
-                                        config_.system.capacity_bu);
-    engine_.bind_telemetry(tel_.terms_recomputed, tel_.terms_reused);
-    accountant_.bind_telemetry(tel_.br_calculations);
-    policy_->bind_telemetry(telemetry_.registry());
-    for (auto& station : stations_) {
-      station.estimator().bind_telemetry(tel_.quads_recorded,
-                                         tel_.quads_evicted);
-    }
-    if (faults_on()) {
-      fault_tel_ = telemetry::make_fault_counters(telemetry_.registry());
-      accountant_.bind_fault_telemetry(fault_tel_.retries,
-                                       fault_tel_.timeouts);
-    }
-  }
-
   // Prime each cell's Poisson process. The first draw of the arrival
   // stream is the first interarrival gap, matching the per-tick order
   // (gap first, then the request attributes).
   const double rate = config_.system.arrival_rate_per_cell;
   if (rate > 0.0) {
-    for (geom::CellId c = first_; c < end_; ++c) {
-      const auto li = static_cast<std::size_t>(c - first_);
+    for (geom::CellId c = first_cell(); c < end_cell(); ++c) {
       PendingEvent tick;
-      tick.time = arrival_rng_[li].exponential(1.0 / rate);
+      tick.time = arrival_rng_[local(c)].exponential(1.0 / rate);
       tick.kind = EventKind::kArrivalTick;
       tick.cell = c;
       calendar_.push(tick);
@@ -118,9 +80,9 @@ Shard::Shard(const ShardedConfig& config, SharedState& shared, int index)
   }
 }
 
-std::size_t Shard::local(geom::CellId cell) const {
-  PABR_CHECK(owned(cell), "cell not owned by this shard");
-  return static_cast<std::size_t>(cell - first_);
+geom::CellId Shard::owned_cell(geom::CellId cell) const {
+  PABR_CHECK(plane_.owns(cell), "cell not owned by this shard");
+  return cell;
 }
 
 // ---- slot protocol ----------------------------------------------------------
@@ -131,77 +93,50 @@ void Shard::drain_and_publish(sim::Time slot_start) {
     for (const PendingEvent& e : box) calendar_.push(e);
     box.clear();
   }
-  for (geom::CellId c = first_; c < end_; ++c) {
-    const auto li = static_cast<std::size_t>(c - first_);
+  for (geom::CellId c = first_cell(); c < end_cell(); ++c) {
     const auto ci = static_cast<std::size_t>(c);
-    shared_.frozen_used[ci] = cells_[li].used();
-    shared_.frozen_t_est[ci] = stations_[li].window().t_est();
+    shared_.frozen_used[ci] = plane_.cell(c).used();
+    shared_.frozen_t_est[ci] = plane_.station(c).window().t_est();
     shared_.frozen_max_soj[ci] =
-        stations_[li].estimator().max_sojourn(slot_start);
+        plane_.station(c).estimator().max_sojourn(slot_start);
   }
 }
 
 void Shard::compute_contributions(sim::Time slot_start) {
-  for (geom::CellId i = first_; i < end_; ++i) {
-    const auto li = static_cast<std::size_t>(i - first_);
-    const auto& table = cells_[li].connections();
-    const auto& estimator = stations_[li].estimator();
-    for (const OutSlot& os : out_slots_[li]) {
+  for (geom::CellId i = first_cell(); i < end_cell(); ++i) {
+    for (const OutSlot& os : out_slots_[local(i)]) {
       const geom::CellId c = os.target;
-#ifdef PABR_FAULT_ENABLED
-      if (faults_on() &&
-          !fault_->exchange_outcome(c, i, slot_start).delivered) {
+      if (plane_.severed(c, i, slot_start)) {
         // The target could not consult us this slot; it substitutes the
         // degraded floor (in finalize_reservations, same pure verdict).
-        if (config_.system.incremental_reservation) engine_.mark_stale(i, c);
+        if (config_.system.incremental_reservation) {
+          plane_.engine().mark_stale(i, c);
+        }
         shared_.contrib[os.slot] = 0.0;
         continue;
       }
-#endif
-      const sim::Duration t_est =
-          shared_.frozen_t_est[static_cast<std::size_t>(c)];
-      double s = 0.0;
-      if (config_.system.incremental_reservation) {
-        const bool healing = faults_on() && engine_.is_stale(i, c);
-        s = engine_.accumulate(i, c, table, estimator, slot_start, t_est,
-                               0.0);
-        if (healing) {
-          PABR_CHECK(s == scratch_contribution(i, c, slot_start, t_est),
-                     "post-heal pair re-sync diverged from scratch rescan");
-          telemetry::bump(fault_tel_.pair_resyncs);
-        }
-      } else {
-        s = scratch_contribution(i, c, slot_start, t_est);
-      }
-      shared_.contrib[os.slot] = s;
+      shared_.contrib[os.slot] = plane_.contribution(
+          i, c, slot_start, shared_.frozen_t_est[static_cast<std::size_t>(c)],
+          0.0);
     }
   }
 }
 
 void Shard::finalize_reservations(sim::Time slot_start) {
-  for (geom::CellId c = first_; c < end_; ++c) {
-    const auto li = static_cast<std::size_t>(c - first_);
-    const auto& neighbors = shared_.grid->neighbors(c);
+  for (geom::CellId c = first_cell(); c < end_cell(); ++c) {
     const std::size_t off = shared_.contrib_offset[static_cast<std::size_t>(c)];
-    double br = 0.0;
-    for (std::size_t j = 0; j < neighbors.size(); ++j) {
-#ifdef PABR_FAULT_ENABLED
-      if (faults_on() &&
-          !fault_->exchange_outcome(c, neighbors[j], slot_start).delivered) {
-        br += config_.system.fault.degraded_floor_bu;
-        telemetry::bump(fault_tel_.floor_substitutions);
-        continue;
-      }
-#endif
-      br += shared_.contrib[off + j];
-    }
-    stations_[li].set_current_reservation(br);
+    const double br = plane_.sum_over_neighbors(
+        c,
+        [&](geom::CellId n) {
+          if (!plane_.severed(c, n, slot_start)) return true;
+          telemetry::bump(plane_.fault_counters().floor_substitutions);
+          return false;
+        },
+        [&](std::size_t j, geom::CellId, double running) {
+          return running + shared_.contrib[off + j];
+        });
     shared_.frozen_br[static_cast<std::size_t>(c)] = br;
-    metrics_[li].br_mean.update(slot_start, br);
-    if (telemetry_.enabled()) {
-      telemetry::bump(tel_.br_recomputes);
-      tel_.br_value->add(br);
-    }
+    plane_.set_reservation(c, slot_start, br);
   }
 }
 
@@ -228,34 +163,15 @@ void Shard::process_events(sim::Time slot_end) {
   now_ = slot_end;
 }
 
-void Shard::reset_measurements(sim::Time t) {
-  for (geom::CellId c = first_; c < end_; ++c) {
-    const auto li = static_cast<std::size_t>(c - first_);
-    auto& m = metrics_[li];
-    m.pcb.reset();
-    m.phd.reset();
-    m.br_mean.reset(t);
-    m.br_mean.update(t, stations_[li].current_reservation());
-    m.bu_mean.reset(t);
-    m.bu_mean.update(t, cells_[li].used());
-  }
-  accountant_.reset();
-  if (telemetry_.enabled()) telemetry_.registry().reset();
-}
+void Shard::reset_measurements(sim::Time t) { plane_.reset(t); }
 
 void Shard::audit(sim::Time t) const {
-  PABR_CHECK(!accountant_.admission_open(),
+  PABR_CHECK(!plane_.accountant().admission_open(),
              "admission left open across a slot barrier");
-  for (geom::CellId c = first_; c < end_; ++c) {
-    const auto li = static_cast<std::size_t>(c - first_);
-    const core::Cell& cell = cells_[li];
-    // I1: occupancy equals the table sum exactly (integral bandwidths).
-    double sum = 0.0;
-    traffic::ConnectionId prev_id = 0;
-    for (const auto& entry : cell.connections()) {
-      PABR_CHECK(prev_id == 0 || entry.id > prev_id,
-                 "connection table not strictly id-sorted");
-      prev_id = entry.id;
+  for (geom::CellId c = first_cell(); c < end_cell(); ++c) {
+    // I1-I3: sorted table, occupancy equal to the table sum, ceiling.
+    audit::audit_cell(plane_.cell(c));
+    for (const auto& entry : plane_.cell(c).connections()) {
       // Compare against bandwidth_of(), not the raw constants: under the
       // metamorphic BU-rescaling transform (DESIGN.md §14, M4) every
       // catalogue bandwidth carries the active scale factor.
@@ -272,20 +188,14 @@ void Shard::audit(sim::Time t) const {
       PABR_CHECK(entry.view.prev_cell == c ||
                      shared_.grid->adjacent(entry.view.prev_cell, c),
                  "previous cell not adjacent");
-      sum += static_cast<double>(entry.bandwidth);
     }
-    PABR_CHECK(sum == cell.used(), "occupancy diverged from table sum");
-    PABR_CHECK(cell.used() >= 0.0 &&
-                   !admission::exceeds_budget(cell.used(), 0.0,
-                                              cell.soft_capacity(), 0.0),
-               "occupancy outside [0, soft capacity]");
-    // I2: control-plane state is finite and within its rails; the frozen
+    // Control-plane state is finite and within its rails; the frozen
     // mirror matches the live value at every barrier.
-    const double br = stations_[li].current_reservation();
+    const double br = plane_.station(c).current_reservation();
     PABR_CHECK(std::isfinite(br) && br >= 0.0, "B_r not finite or negative");
     PABR_CHECK(br == shared_.frozen_br[static_cast<std::size_t>(c)],
                "frozen B_r mirror diverged from the base station");
-    const double t_est = stations_[li].window().t_est();
+    const double t_est = plane_.station(c).window().t_est();
     PABR_CHECK(std::isfinite(t_est) && t_est > 0.0, "T_est not positive");
   }
 }
@@ -301,7 +211,7 @@ double Shard::used_bandwidth(geom::CellId cell) const {
   // Frozen-neighbour semantics: the admission test sees the requesting
   // cell live and every other cell as of the slot boundary, so the
   // decision cannot depend on which shard the neighbours landed in.
-  if (cell == admission_self_) return cells_[local(cell)].used();
+  if (cell == admission_self_) return plane_.cell(cell).used();
   return shared_.frozen_used[static_cast<std::size_t>(cell)];
 }
 
@@ -313,17 +223,16 @@ double Shard::recompute_reservation(geom::CellId cell) {
   // Serves the slot-frozen Eq. (6) value; the actual recomputation ran
   // at the barrier. Signalling is still billed per admission-time call,
   // preserving the paper's N_calc semantics (AC1 = 1, AC2 = |A|+1).
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    accountant_.count_br_calculation();
+  backhaul::SignalingAccountant& accountant = plane_.accountant();
+  if (plane_.faults_on()) {
+    accountant.count_br_calculation();
     for (const geom::CellId i : shared_.grid->neighbors(cell)) {
-      accountant_.exchange(cell, i, now_, *fault_,
-                           backhaul::MessageType::kBandwidthQuery);
+      accountant.exchange(cell, i, now_, *plane_.fault(),
+                          backhaul::MessageType::kBandwidthQuery);
     }
-    return shared_.frozen_br[static_cast<std::size_t>(cell)];
+  } else {
+    accountant.record_br_calculation(cell);
   }
-#endif
-  accountant_.record_br_calculation(cell);
   return shared_.frozen_br[static_cast<std::size_t>(cell)];
 }
 
@@ -336,18 +245,7 @@ double Shard::scratch_reservation(geom::CellId cell) {
 }
 
 bool Shard::neighbor_reachable(geom::CellId cell, geom::CellId neighbor) {
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on()) {
-    const bool ok =
-        accountant_.exchange(cell, neighbor, now_, *fault_,
-                             backhaul::MessageType::kReservationCheck);
-    if (!ok) telemetry::bump(fault_tel_.ac_local_fallbacks);
-    return ok;
-  }
-#endif
-  (void)cell;
-  (void)neighbor;
-  return true;
+  return plane_.neighbor_reachable(cell, neighbor, now_);
 }
 
 // ---- event handlers ---------------------------------------------------------
@@ -378,35 +276,11 @@ void Shard::handle_arrival(geom::CellId cell, traffic::ServiceClass service,
                            double speed_kmh, sim::Duration lifetime_s) {
   const traffic::Bandwidth bw = traffic::bandwidth_of(service);
   const auto li = local(cell);
-#ifdef PABR_FAULT_ENABLED
-  if (faults_on() && !fault_->station_up(cell, now_)) {
-    telemetry::bump(fault_tel_.station_blocks);
-    metrics_[li].pcb.trial(true);
-    telemetry::bump(tel_.blocked);
-    return;
-  }
-#endif
-  bool admitted;
-  {
-    backhaul::AdmissionScope scope(accountant_);
-    admission_self_ = cell;
-    if (telemetry_.time_admissions()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      admitted = policy_->admit(*this, cell, bw);
-      const auto elapsed = std::chrono::steady_clock::now() - t0;
-      tel_.admission_ns->add(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-    } else {
-      admitted = policy_->admit(*this, cell, bw);
-    }
-    admission_self_ = geom::kNoCell;
-  }
-  admitted = admitted && cells_[li].can_fit(bw);
-  metrics_[li].pcb.trial(!admitted);
-  if (telemetry_.enabled()) {
-    telemetry::bump(admitted ? tel_.admitted : tel_.blocked);
-  }
+  admission_self_ = cell;
+  const bool admitted =
+      plane_.admit(*this, cell, bw, now_) && plane_.cell(cell).can_fit(bw);
+  admission_self_ = geom::kNoCell;
+  plane_.count_request(cell, now_, admitted, 0, bw);
   if (!admitted) return;
 
   MobileSnapshot m;
@@ -422,8 +296,8 @@ void Shard::handle_arrival(geom::CellId cell, traffic::ServiceClass service,
   view.reserve_bandwidth = bw;
   view.prev_cell = m.prev;
   view.entered_cell_at = m.entered_at;
-  cells_[li].attach(m.id, bw, view);
-  record_bu(cell);
+  plane_.cell(cell).attach(m.id, bw, view);
+  plane_.record_bu(cell, now_);
   plan_next_leg(m, cell, now_);
 }
 
@@ -468,7 +342,7 @@ void Shard::plan_next_leg(MobileSnapshot m, geom::CellId cell, sim::Time t) {
 }
 
 void Shard::route(PendingEvent e) {
-  if (owned(e.cell)) {
+  if (plane_.owns(e.cell)) {
     calendar_.push(e);
     return;
   }
@@ -479,58 +353,41 @@ void Shard::route(PendingEvent e) {
 }
 
 void Shard::handle_depart(const PendingEvent& e) {
-  const auto li = local(e.cell);
-  stations_[li].estimator().record(hoef::Quadruplet{
-      e.time, e.mobile.prev, e.to, e.time - e.mobile.entered_at});
-  if (telemetry_.enabled()) {
-    tel_.handoff_sojourn->add(e.time - e.mobile.entered_at);
-  }
-  cells_[li].detach(e.id);
-  record_bu(e.cell);
+  const geom::CellId c = owned_cell(e.cell);
+  plane_.record_departure(c, hoef::Quadruplet{e.time, e.mobile.prev, e.to,
+                                               e.time - e.mobile.entered_at});
+  plane_.cell(c).detach(e.id);
+  plane_.record_bu(c, now_);
 }
 
 void Shard::handle_arrive(const PendingEvent& e) {
-  const geom::CellId c = e.cell;
-  const auto li = local(c);
+  const geom::CellId c = owned_cell(e.cell);
   const traffic::Bandwidth bw = e.mobile.bandwidth();
-  bool dropped = !cells_[li].can_fit(bw);
-#ifdef PABR_FAULT_ENABLED
-  if (!dropped && faults_on() && !fault_->station_up(c, e.time)) {
-    dropped = true;
-    telemetry::bump(fault_tel_.station_drops);
-  }
-#endif
   // The T_soj,max bound comes from the slot-frozen estimator snapshots —
   // live neighbour estimators may belong to other shards mid-slot.
-  stations_[li].window().on_handoff(dropped, frozen_t_soj_max(c));
-  metrics_[li].phd.trial(dropped);
-  if (telemetry_.enabled()) {
-    telemetry::bump(dropped ? tel_.handoff_dropped : tel_.handoff_completed);
+  if (!plane_.hand_in(c, e.time, e.id, bw, frozen_t_soj_max(c))) {
+    return;  // the mobile dies with its only pending event
   }
-  if (dropped) return;  // the mobile dies with its only pending event
 
   traffic::ReservationView view;
   view.reserve_bandwidth = bw;
   view.prev_cell = e.mobile.prev;
   view.entered_cell_at = e.time;
-  cells_[li].attach(e.id, bw, view);
-  record_bu(c);
+  plane_.cell(c).attach(e.id, bw, view);
+  plane_.record_bu(c, now_);
   plan_next_leg(e.mobile, c, e.time);
 }
 
 void Shard::handle_expiry(const PendingEvent& e) {
-  const auto li = local(e.cell);
-  if (telemetry_.enabled()) telemetry::bump(tel_.expiries);
-  cells_[li].detach(e.id);
-  record_bu(e.cell);
+  const geom::CellId c = owned_cell(e.cell);
+  plane_.tally(plane_.counters().expiries, now_,
+               telemetry::EventKind::kExpiry, c, e.id,
+               static_cast<double>(e.mobile.bandwidth()));
+  plane_.cell(c).detach(e.id);
+  plane_.record_bu(c, now_);
 }
 
 // ---- helpers ----------------------------------------------------------------
-
-void Shard::record_bu(geom::CellId cell) {
-  const auto li = local(cell);
-  metrics_[li].bu_mean.update(now_, cells_[li].used());
-}
 
 sim::Duration Shard::frozen_t_soj_max(geom::CellId cell) const {
   sim::Duration m = 0.0;
@@ -540,27 +397,11 @@ sim::Duration Shard::frozen_t_soj_max(geom::CellId cell) const {
   return m;
 }
 
-double Shard::scratch_contribution(geom::CellId source, geom::CellId target,
-                                   sim::Time t, sim::Duration t_est) const {
-  const auto li = local(source);
-  const auto& estimator = stations_[li].estimator();
-  double running = 0.0;
-  for (const auto& e : cells_[li].connections()) {
-    running += static_cast<double>(e.view.reserve_bandwidth) *
-               estimator.handoff_probability(t, e.view.prev_cell, target,
-                                             t - e.view.entered_cell_at,
-                                             t_est);
-  }
-  return running;
-}
-
 // ---- snapshot hooks ---------------------------------------------------------
 
 void Shard::save_cell_state(snapshot::Encoder& e, geom::CellId cell) const {
   const auto li = local(cell);
-  snapshot::put_cell(e, cells_[li]);
-  snapshot::put_station(e, stations_[li]);
-  snapshot::put_cell_metrics(e, metrics_[li]);
+  plane_.save_cell_state(e, cell);
   e.str(arrival_rng_[li].save_state());
   e.str(motion_rng_[li].save_state());
   e.u64(ordinal_[li]);
@@ -568,9 +409,7 @@ void Shard::save_cell_state(snapshot::Encoder& e, geom::CellId cell) const {
 
 void Shard::restore_cell_state(snapshot::Decoder& d, geom::CellId cell) {
   const auto li = local(cell);
-  snapshot::restore_cell(d, cells_[li]);
-  snapshot::restore_station(d, stations_[li]);
-  snapshot::restore_cell_metrics(d, metrics_[li]);
+  plane_.restore_cell_state(d, cell);
   arrival_rng_[li].load_state(d.str());
   motion_rng_[li].load_state(d.str());
   ordinal_[li] = d.u64();
@@ -578,7 +417,7 @@ void Shard::restore_cell_state(snapshot::Decoder& d, geom::CellId cell) {
 
 std::size_t Shard::active_connections() const {
   std::size_t n = 0;
-  for (const auto& cell : cells_) {
+  for (const auto& cell : plane_.cells()) {
     n += static_cast<std::size_t>(cell.connection_count());
   }
   return n;

@@ -1,10 +1,11 @@
 // One worker's slice of the sharded hex simulation (DESIGN.md §12).
 //
-// A Shard owns a contiguous range of cells — their radio state
-// (core::Cell), control plane (core::BaseStation: estimator + T_est
-// controller + B_r^curr), metrics, per-cell RNG streams, an incremental
-// reservation engine for the (owned source -> any target) pairs, a
-// signaling accountant, a fault injector replica, and an event calendar.
+// A Shard owns a contiguous range of cells through a core::CellPlane —
+// their radio state, base stations (estimator + T_est controller +
+// B_r^curr), metrics, an incremental reservation engine for the (owned
+// source -> any target) pairs, a signaling accountant, a fault injector
+// replica and telemetry — plus per-cell RNG streams and an event
+// calendar.
 //
 // Cross-cell coupling goes EXCLUSIVELY through the slot-frozen arrays in
 // SharedState, written and read under the executor's barrier protocol:
@@ -25,18 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "admission/policy.h"
-#include "backhaul/signaling.h"
-#include "core/base_station.h"
-#include "core/cell.h"
-#include "core/metrics.h"
-#include "fault/fault.h"
+#include "core/cell_plane.h"
 #include "geom/hex_topology.h"
 #include "mobility/hex_motion.h"
-#include "reservation/engine.h"
 #include "sim/random.h"
 #include "sim/sharded/calendar.h"
 #include "sim/sharded/config.h"
@@ -102,21 +97,18 @@ class Shard final : public admission::AdmissionContext {
 
   // ---- results ------------------------------------------------------------
   int index() const { return index_; }
-  geom::CellId first_cell() const { return first_; }
-  geom::CellId end_cell() const { return end_; }
+  geom::CellId first_cell() const { return plane_.first(); }
+  geom::CellId end_cell() const { return plane_.end(); }
   const core::Cell& cell_state(geom::CellId cell) const {
-    return cells_[local(cell)];
+    return plane_.cell(owned_cell(cell));
   }
-  const core::BaseStation& station_state(geom::CellId cell) const {
-    return stations_[local(cell)];
-  }
-  const core::CellMetrics& cell_metrics(geom::CellId cell) const {
-    return metrics_[local(cell)];
+  core::CellStatus cell_status(geom::CellId cell, sim::Time t) const {
+    return plane_.cell_status(owned_cell(cell), t);
   }
   const backhaul::SignalingAccountant& accountant() const {
-    return accountant_;
+    return plane_.accountant();
   }
-  telemetry::Collector& telemetry() { return telemetry_; }
+  telemetry::Collector& telemetry() { return plane_.telemetry(); }
   std::uint64_t events_processed() const { return events_; }
   std::size_t active_connections() const;
 
@@ -131,7 +123,9 @@ class Shard final : public admission::AdmissionContext {
   /// Drops the constructor's primed arrival ticks ahead of a restore.
   void clear_calendar() { calendar_.clear(); }
   void push_event(const PendingEvent& e) { route(e); }
-  backhaul::SignalingAccountant& accountant_mutable() { return accountant_; }
+  backhaul::SignalingAccountant& accountant_mutable() {
+    return plane_.accountant();
+  }
   /// Overwrites the event tally and clock after a restore (the aggregate
   /// tally lands on shard 0; every other shard restarts from zero).
   void restore_progress(std::uint64_t events, sim::Time now) {
@@ -140,16 +134,10 @@ class Shard final : public admission::AdmissionContext {
   }
 
  private:
-  bool owned(geom::CellId cell) const {
-    return cell >= first_ && cell < end_;
-  }
-  std::size_t local(geom::CellId cell) const;
-  bool faults_on() const {
-#ifdef PABR_FAULT_ENABLED
-    return fault_ != nullptr;
-#else
-    return false;
-#endif
+  /// `cell`, checked to be owned by this shard.
+  geom::CellId owned_cell(geom::CellId cell) const;
+  std::size_t local(geom::CellId cell) const {
+    return static_cast<std::size_t>(owned_cell(cell) - plane_.first());
   }
 
   void handle_arrival_tick(const PendingEvent& e);
@@ -162,23 +150,20 @@ class Shard final : public admission::AdmissionContext {
   /// stream and schedules whichever of crossing/expiry comes first.
   void plan_next_leg(MobileSnapshot m, geom::CellId cell, sim::Time t);
   void route(PendingEvent e);
-  void record_bu(geom::CellId cell);
   /// max over adjacent cells of the slot-frozen estimator max_sojourn —
   /// the T_soj,max bound fed to the Fig. 6 controller.
   sim::Duration frozen_t_soj_max(geom::CellId cell) const;
-  /// From-scratch Eq. (5) for the post-heal cache re-sync audit.
-  double scratch_contribution(geom::CellId source, geom::CellId target,
-                              sim::Time t, sim::Duration t_est) const;
+  /// This shard's plane: the partition's slice, tracing off (per-shard
+  /// trace rings are not merge-ordered).
+  static core::CellPlane::Params plane_params(const ShardedConfig& config,
+                                              const SharedState& shared,
+                                              int index);
 
   ShardedConfig config_;
   SharedState& shared_;
   int index_;
-  geom::CellId first_ = 0;
-  geom::CellId end_ = 0;
+  core::CellPlane plane_;
 
-  std::vector<core::Cell> cells_;            // owned range, dense
-  std::vector<core::BaseStation> stations_;  // parallel to cells_
-  std::vector<core::CellMetrics> metrics_;
   std::vector<sim::Rng> arrival_rng_;  ///< per-cell arrival stream
   std::vector<sim::Rng> motion_rng_;   ///< per-cell mobility stream
   std::vector<std::uint64_t> ordinal_; ///< per-cell connection counter
@@ -190,14 +175,6 @@ class Shard final : public admission::AdmissionContext {
     std::size_t slot = 0;
   };
   std::vector<std::vector<OutSlot>> out_slots_;
-
-  reservation::IncrementalEngine engine_;
-  backhaul::SignalingAccountant accountant_;
-  std::unique_ptr<admission::AdmissionPolicy> policy_;
-  std::unique_ptr<fault::FaultInjector> fault_;  // replica; pure queries
-  telemetry::Collector telemetry_;
-  telemetry::SimCounters tel_;
-  telemetry::FaultCounters fault_tel_;
 
   EventCalendar calendar_;
   sim::Time now_ = 0.0;

@@ -1,6 +1,7 @@
 #include "snapshot/format.h"
 
 #include <bit>
+#include <cstdio>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -263,6 +264,70 @@ Decoder Reader::open(std::string_view name) const {
     if (s.name == name) return Decoder(s.name, s.payload);
   }
   fail("missing required section '" + std::string(name) + "'");
+}
+
+const char* kind_name(SystemKind kind) {
+  switch (kind) {
+    case SystemKind::kLinear:
+      return "linear";
+    case SystemKind::kHex:
+      return "hex";
+    case SystemKind::kSharded:
+      return "sharded";
+  }
+  return "unknown";
+}
+
+std::vector<std::string> differences(const Reader& a, const Reader& b,
+                                     std::string_view label_a,
+                                     std::string_view label_b) {
+  std::vector<std::string> out;
+  const auto hex = [](std::uint64_t v) {
+    char h[17];
+    std::snprintf(h, sizeof(h), "%016llx", static_cast<unsigned long long>(v));
+    return std::string(h);
+  };
+  const auto field = [&out](const char* name, const std::string& va,
+                            const std::string& vb) {
+    if (va != vb) out.push_back(std::string("header ") + name + " " + va +
+                                " != " + vb);
+  };
+  const Header& ha = a.header();
+  const Header& hb = b.header();
+  char ta[32];
+  char tb[32];
+  std::snprintf(ta, sizeof(ta), "%.17g", ha.sim_time);
+  std::snprintf(tb, sizeof(tb), "%.17g", hb.sim_time);
+  field("kind", kind_name(ha.kind), kind_name(hb.kind));
+  field("config_digest", hex(ha.config_digest), hex(hb.config_digest));
+  field("sim_time", ta, tb);
+  field("run_seed", std::to_string(ha.run_seed), std::to_string(hb.run_seed));
+
+  const auto find = [](const Reader& r, const std::string& name) {
+    for (const Section& s : r.sections()) {
+      if (s.name == name) return &s;
+    }
+    return static_cast<const Section*>(nullptr);
+  };
+  for (const Section& sa : a.sections()) {
+    const Section* sb = find(b, sa.name);
+    if (sb == nullptr) {
+      out.push_back("section " + sa.name + " only in " + std::string(label_a));
+    } else if (sa.payload.size() != sb->payload.size() ||
+               sa.checksum != sb->checksum) {
+      out.push_back("section " + sa.name + " " +
+                    std::to_string(sa.payload.size()) + " bytes / " +
+                    hex(sa.checksum) + " != " +
+                    std::to_string(sb->payload.size()) + " bytes / " +
+                    hex(sb->checksum));
+    }
+  }
+  for (const Section& sb : b.sections()) {
+    if (find(a, sb.name) == nullptr) {
+      out.push_back("section " + sb.name + " only in " + std::string(label_b));
+    }
+  }
+  return out;
 }
 
 void Reader::require_kind(SystemKind kind) const {

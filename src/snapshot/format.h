@@ -161,4 +161,17 @@ class Reader {
   std::vector<Section> sections_;
 };
 
+/// "linear", "hex" or "sharded".
+const char* kind_name(SystemKind kind);
+
+/// Where snapshot `b` differs from `a`: the header's kind, config digest,
+/// sim time and run seed (not the git sha or build type that produced
+/// it), then every section's payload in a's order, then the sections
+/// only b has. One line per difference, starting "header <field>" or
+/// "section <name>"; `label_a`/`label_b` name the files in "only in"
+/// lines. Empty when the snapshots are identical.
+std::vector<std::string> differences(const Reader& a, const Reader& b,
+                                     std::string_view label_a = "a",
+                                     std::string_view label_b = "b");
+
 }  // namespace pabr::snapshot

@@ -1,5 +1,6 @@
 #include "snapshot/parts.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string>
@@ -10,6 +11,61 @@
 #include "util/digest.h"
 
 namespace pabr::snapshot {
+
+// ---- Event calendar ----------------------------------------------------------
+
+void put_pending(Encoder& e,
+                 const std::optional<sim::EventQueue::PendingInfo>& p) {
+  e.b(p.has_value());
+  if (p.has_value()) {
+    e.f64(p->when);
+    e.u64(p->seq);
+  }
+}
+
+std::optional<sim::EventQueue::PendingInfo> get_pending(Decoder& d) {
+  if (!d.b()) return std::nullopt;
+  sim::EventQueue::PendingInfo p;
+  p.when = d.f64();
+  p.seq = d.u64();
+  return p;
+}
+
+void put_simulator(Writer& w, const sim::Simulator& s, int events_since_audit) {
+  auto& e = w.begin_section("simulator");
+  e.f64(s.now());
+  e.u64(s.events_executed());
+  e.u64(s.queue_next_seq());
+  e.u64(s.queue_next_id());
+  e.u64(static_cast<std::uint64_t>(events_since_audit));
+}
+
+EventReplay::EventReplay(const Reader& r, sim::Simulator& s,
+                         int& events_since_audit)
+    : sim_(s) {
+  sim_.reset();
+  auto d = r.open("simulator");
+  now_ = d.f64();
+  executed_ = d.u64();
+  next_seq_ = d.u64();
+  next_id_ = d.u64();
+  events_since_audit = static_cast<int>(d.u64());
+  d.finish();
+}
+
+void EventReplay::add(const std::optional<sim::EventQueue::PendingInfo>& p,
+                      std::function<void(sim::Time)> schedule) {
+  if (p.has_value()) events_.push_back({p->seq, p->when, std::move(schedule)});
+}
+
+void EventReplay::finish() {
+  std::sort(events_.begin(), events_.end(),
+            [](const Saved& a, const Saved& b) { return a.seq < b.seq; });
+  for (Saved& ev : events_) ev.schedule(ev.when);
+  sim_.advance_queue_counters(std::max(next_seq_, sim_.queue_next_seq()),
+                              std::max(next_id_, sim_.queue_next_id()));
+  sim_.restore_clock(now_, executed_);
+}
 namespace {
 
 // ---- Small shared pieces -------------------------------------------------

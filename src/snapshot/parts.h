@@ -11,6 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <vector>
 
 #include "backhaul/network.h"
 #include "backhaul/signaling.h"
@@ -22,6 +25,7 @@
 #include "mobility/mobile.h"
 #include "reservation/engine.h"
 #include "sim/series.h"
+#include "sim/simulator.h"
 #include "sim/stats.h"
 #include "snapshot/format.h"
 #include "telemetry/metrics.h"
@@ -42,6 +46,46 @@ std::uint64_t config_digest(const core::SystemConfig& c);
 void put_config(Encoder& e, const core::HexSystemConfig& c);
 core::HexSystemConfig get_hex_config(Decoder& d);
 std::uint64_t config_digest(const core::HexSystemConfig& c);
+
+// ---- Event calendar ------------------------------------------------------
+/// A pending-event slot: presence flag, fire time, insertion seq.
+void put_pending(Encoder& e,
+                 const std::optional<sim::EventQueue::PendingInfo>& p);
+std::optional<sim::EventQueue::PendingInfo> get_pending(Decoder& d);
+
+/// The "simulator" section: clock, executed-event tally, queue counters
+/// and the driver's per-event audit counter.
+void put_simulator(Writer& w, const sim::Simulator& s, int events_since_audit);
+
+/// Re-creates a saved event calendar on a freshly constructed simulator.
+/// The constructor reads the "simulator" section and drops the events the
+/// driver's constructor booked; the driver then adds every saved pending
+/// event, and finish() books them in ascending original-seq order — fresh
+/// consecutive seqs keep the original relative order of time ties, which
+/// is all the calendar compares — before restoring the counters and the
+/// clock (invariant I10).
+class EventReplay {
+ public:
+  EventReplay(const Reader& r, sim::Simulator& s, int& events_since_audit);
+
+  /// Books `schedule(when)` for a saved slot that holds an event.
+  void add(const std::optional<sim::EventQueue::PendingInfo>& p,
+           std::function<void(sim::Time)> schedule);
+  void finish();
+
+ private:
+  struct Saved {
+    std::uint64_t seq;
+    sim::Time when;
+    std::function<void(sim::Time)> schedule;
+  };
+  sim::Simulator& sim_;
+  sim::Time now_ = 0.0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::vector<Saved> events_;
+};
 
 // ---- Statistics accumulators --------------------------------------------
 void put_twm(Encoder& e, const sim::TimeWeightedMean& m);

@@ -15,28 +15,4 @@ const char* git_sha() { return PABR_GIT_SHA; }
 
 const char* build_type() { return PABR_BUILD_TYPE; }
 
-bool audit_enabled() {
-#ifdef PABR_AUDIT_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool telemetry_enabled() {
-#ifdef PABR_TELEMETRY_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool fault_enabled() {
-#ifdef PABR_FAULT_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace pabr::buildinfo
